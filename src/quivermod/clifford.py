@@ -15,19 +15,28 @@ span of the even-cardinality subsets and has rank 2^(n+1).
 """
 from __future__ import annotations
 
+import importlib.util
 import math
-import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence, Union
 
-import numpy as np
-
-from .linalg import GFElement, nullspace, rank, rref
+from .linalg import GFElement, nullspace, rank
 from .models import ConicFiber
 
 Scalar = Union[Fraction, GFElement]
+
+# Prime characteristics must lie below this bound: the modular Azumaya test
+# keeps residue products below 2^62 in int64 and trial division stays short.
+CHAR_BOUND = 2 ** 31
+
+# numpy serves only the Azumaya test. It is registered lazily, so `import
+# quivermod` does not pay its import; its code runs on the first Azumaya test.
+if "numpy" not in sys.modules and (_spec := importlib.util.find_spec("numpy")) is not None:
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["numpy"])
 
 
 class QuadraticFormB:
@@ -40,8 +49,10 @@ class QuadraticFormB:
         if char == 0:
             mat = tuple(tuple(Fraction(x) for x in row) for row in b)
         else:
-            if char < 2 or any(char % k == 0 for k in range(2, int(math.isqrt(char)) + 1)):
-                raise ValueError(f"characteristic must be 0 or a prime, got {char}")
+            if not 2 <= char < CHAR_BOUND or any(
+                char % k == 0 for k in range(2, math.isqrt(char) + 1)
+            ):
+                raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {char}")
             zero = GFElement(char, 0)
             mat = tuple(
                 tuple(x if isinstance(x, GFElement) else zero + x for x in row)
@@ -169,10 +180,6 @@ def standard_form(n: int, char: int = 0) -> QuadraticFormB:
     return QuadraticFormB(b, char=char)
 
 
-def _field_rank(rows: list[list[Scalar]]) -> int:
-    return rank(rows)
-
-
 def is_smooth_quadric(q: QuadraticFormB) -> bool:
     """Smoothness of the projective quadric Q = 0.
 
@@ -183,9 +190,9 @@ def is_smooth_quadric(q: QuadraticFormB) -> bool:
     """
     g = [list(row) for row in q.gram()]
     if q.char != 2:
-        return _field_rank(g) == q.size
+        return rank(g) == q.size
     if q.size % 2 == 0:
-        return _field_rank(g) == q.size
+        return rank(g) == q.size
     kernel = nullspace(g, one=q.one())
     if len(kernel) != 1:
         return False
@@ -203,31 +210,35 @@ class CliffordAlgebra:
         self._phi = q.gram()
         self._one = q.one()
         self._zero = q.zero()
+        self._gen_products: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
 
-    @lru_cache(maxsize=None)
     def _mul_mask_gen(self, mask: int, i: int) -> tuple[tuple[int, Scalar], ...]:
-        """e_mask * e_i, normal ordered."""
-        if mask == 0:
-            return ((1 << i, self._one),)
-        j = mask.bit_length() - 1  # largest generator present
-        rest = mask & ~(1 << j)
+        """e_mask * e_i, normal ordered; memoised per algebra."""
+        cached = self._gen_products.get((mask, i))
+        if cached is not None:
+            return cached
+        j = mask.bit_length() - 1  # largest generator present, -1 for the unit
         if j < i:
-            return ((mask | (1 << i), self._one),)
-        if j == i:
-            return ((rest, self._sq[i]),)
-        # e_j e_i = Phi(i, j) - e_i e_j
-        acc: dict[int, Scalar] = {}
-        phi = self._phi[i][j]
-        if phi != 0:
-            acc[rest] = phi
-        for m2, c2 in self._mul_mask_gen(rest, i):
-            for m3, c3 in self._mul_mask_gen(m2, j):
-                coeff = acc.get(m3, self._zero) - c2 * c3
-                if coeff == 0:
-                    acc.pop(m3, None)
-                else:
-                    acc[m3] = coeff
-        return tuple(acc.items())
+            out = ((mask | (1 << i), self._one),)
+        elif j == i:
+            out = ((mask ^ (1 << i), self._sq[i]),)
+        else:
+            # e_j e_i = Phi(i, j) - e_i e_j
+            rest = mask ^ (1 << j)
+            acc: dict[int, Scalar] = {}
+            phi = self._phi[i][j]
+            if phi != 0:
+                acc[rest] = phi
+            for m2, c2 in self._mul_mask_gen(rest, i):
+                for m3, c3 in self._mul_mask_gen(m2, j):
+                    coeff = acc.get(m3, self._zero) - c2 * c3
+                    if coeff == 0:
+                        acc.pop(m3, None)
+                    else:
+                        acc[m3] = coeff
+            out = tuple(acc.items())
+        self._gen_products[(mask, i)] = out
+        return out
 
     def mul_basis(self, s: int, t: int) -> dict[int, Scalar]:
         """Product e_s * e_t as a sparse dict mask -> coefficient."""
@@ -314,67 +325,57 @@ class StructureConstantAlgebra:
 _AZUMAYA_PRIMES = (2147483629, 2147483587, 2147483563)
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    a = mat % p
-    rows, cols = a.shape
-    r = 0
-    for col in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col_vals = a[r + 1:, col]
-        nz = col_vals != 0
-        if nz.any():
-            a[r + 1:][nz] = (a[r + 1:][nz] - np.outer(col_vals[nz], a[r])) % p
-        r += 1
-        if r == rows:
-            break
-    return r
+def _envelope(c, p: Optional[int] = None):
+    """Matrix of the enveloping map from a dim^3 integer tensor c of structure constants.
+
+    Column (i, j) is e_i (x) e_j and row (s, t) holds the e_s coefficient of
+    e_i (e_t e_j). With p = None the entries are exact Python ints. With a
+    prime p < 2^31 they are residues in int64: one factor is split into 16-bit
+    limbs, so every partial sum stays below 2^31 * 2^16 * 64 = 2^53 for dim <= 64.
+    """
+    import numpy as np
+
+    d = c.shape[0]
+    x = c.transpose(0, 2, 1).reshape(d * d, d)  # x[(i, s), m] = c[i, m, s]
+    y = c.transpose(2, 0, 1).reshape(d, d * d)  # y[m, (t, j)] = c[t, j, m]
+    if p is None:
+        prod = x @ y
+    else:
+        x, y = (x % p).astype(np.int64), (y % p).astype(np.int64)
+        prod = (x @ (y & 0xFFFF) + ((x @ (y >> 16)) % p << 16)) % p
+    return prod.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(d * d, d * d)
 
 
-def _nullvector_mod_p(mat: np.ndarray, p: int) -> Optional[np.ndarray]:
-    """One kernel vector of mat mod p in reduced echelon coordinates, or None."""
-    a = mat % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
+def _echelon_mod_p(a, p: int) -> tuple[int, Optional[list[int]]]:
+    """Rank of a square int64 matrix of residues mod a prime p < 2^31 (row
+    operations stay below 2^62), eliminated in place, and one kernel vector if
+    the rank is deficient: 1 at the first column without a pivot, 0 after it,
+    and back-substituted before it, where every pivot sits on the diagonal.
+    """
+    import numpy as np
+
+    cols = a.shape[1]
+    r, free = 0, None
     for col in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i, col]:
-                piv = i
-                break
-        if piv is None:
+        nz = np.flatnonzero(a[r:, col])
+        if nz.size == 0:
+            free = col if free is None else free
             continue
-        if piv != r:
-            a[[r, piv]] = a[[piv, r]]
-        inv = pow(int(a[r, col]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        other = a[:, col] != 0
-        other[r] = False
-        if other.any():
-            a[other] = (a[other] - np.outer(a[other, col], a[r])) % p
-        pivots.append(col)
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, col:] = a[r, col:] * pow(int(a[r, col]), -1, p) % p
+        rest = a[r + 1:, col:]  # a view: columns left of col are already zero below row r
+        below = rest[:, 0] != 0
+        if below.any():
+            rest[below] = (rest[below] - np.outer(rest[below, 0], a[r, col:])) % p
         r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return None
-    fc = free[0]
-    vec = np.zeros(cols, dtype=np.int64)
-    vec[fc] = 1
-    for row_idx, pc in enumerate(pivots):
-        vec[pc] = (-int(a[row_idx, fc])) % p
-    return vec
+    if free is None:
+        return r, None
+    vec = [0] * cols
+    vec[free] = 1
+    for k in range(free - 1, -1, -1):
+        row = a[k, k + 1:free + 1].tolist()
+        vec[k] = -sum(x * v for x, v in zip(row, vec[k + 1:free + 1])) % p
+    return r, vec
 
 
 def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
@@ -387,153 +388,53 @@ def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
         q = r0 // r1
         r0, r1 = r1, r0 - q * r1
         t0, t1 = t1, t0 - q * t1
-    if r1 <= bound and t1 != 0 and abs(t1) <= bound and math.gcd(r1, abs(t1)) == 1:
-        if t1 < 0:
-            return Fraction(-r1, -t1)
+    if t1 != 0 and abs(t1) <= bound and math.gcd(r1, abs(t1)) == 1:
         return Fraction(r1, t1)
     return None
-
-
-def _left_right_matrices(alg: StructureConstantAlgebra):
-    d = alg.dim
-    consts = alg.coefficient_ints()
-    if consts is None:
-        return None, None
-    lefts = [
-        np.array([[consts[i][t][s] for t in range(d)] for s in range(d)], dtype=object)
-        for i in range(d)
-    ]
-    rights = [
-        np.array([[consts[t][j][s] for t in range(d)] for s in range(d)], dtype=object)
-        for j in range(d)
-    ]
-    return lefts, rights
-
-
-def _enveloping_matrix_int(lefts, rights, d: int) -> np.ndarray:
-    m = np.zeros((d * d, d * d), dtype=object)
-    col = 0
-    for i in range(d):
-        li = lefts[i]
-        for j in range(d):
-            m[:, col] = (li @ rights[j]).reshape(-1)
-            col += 1
-    return m
 
 
 def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
     """Is the enveloping map alg (x) alg-op -> End(alg) bijective?
 
-    Decided by the exact rank of the dim^2 x dim^2 matrix of the map. Over a
-    prime field the rank is computed directly. Over Q with integral structure
-    constants the matrix is integral: full rank modulo a prime certifies
-    bijectivity, and a rank deficit is certified by lifting a modular kernel
-    vector to an exact rational kernel vector and verifying it; if no lift
-    verifies, exact elimination settles it.
+    Decided by the rank of the map's matrix, built from the structure constants
+    as integers: residues over GF(p); over Q, the constants times the lcm of
+    their denominators, which keeps rank and kernel. Over GF(p) one elimination
+    decides. Over Q, full rank modulo a prime certifies bijectivity, and a
+    kernel vector CRT-accumulated over the primes, rationally reconstructed and
+    zero under the exact matrix certifies a deficit; else Fraction rank decides.
     """
-    d = alg.dim
+    import numpy as np
+
+    d, char, n = alg.dim, alg.char, alg.dim ** 2
     if d > 64:
         raise ValueError(f"capacity: algebra dimension {d} exceeds 64")
-    if alg.char != 0:
-        p = alg.char
-        consts = alg.coefficient_ints()
-        lefts = [
-            np.array([[consts[i][t][s] for t in range(d)] for s in range(d)], dtype=np.int64)
-            for i in range(d)
-        ]
-        rights = [
-            np.array([[consts[t][j][s] for t in range(d)] for s in range(d)], dtype=np.int64)
-            for j in range(d)
-        ]
-        m = np.zeros((d * d, d * d), dtype=np.int64)
-        col = 0
-        for i in range(d):
-            li = lefts[i] % p
-            for j in range(d):
-                m[:, col] = ((li @ (rights[j] % p)) % p).reshape(-1)
-                col += 1
-        return _rank_mod_p(m, p) == d * d
-
-    lefts, rights = _left_right_matrices(alg)
-    if lefts is None:
-        return _is_azumaya_exact_rational(alg)
-    m_int = _enveloping_matrix_int(lefts, rights, d)
-    residues: list[np.ndarray] = []
+    if char >= CHAR_BOUND:
+        raise ValueError(f"characteristic {char} is not below 2^31")
+    flat = [x for row in alg.table for cell in row for x in cell]
+    if char:
+        zero = GFElement(char, 0)
+        flat = [(zero + x).v for x in flat]
+    else:
+        scale = math.lcm(*(x.denominator for x in flat))
+        flat = [x.numerator * (scale // x.denominator) for x in flat]
+    c = np.array(flat, dtype=object).reshape(d, d, d)
+    if char:
+        return _echelon_mod_p(_envelope(c, char), char)[0] == n
+    exact, modulus, acc = None, 1, [0] * n
     for p in _AZUMAYA_PRIMES:
-        m_p = (m_int.astype(object) % p).astype(np.int64)
-        if _rank_mod_p(m_p.copy(), p) == d * d:
+        r, vec = _echelon_mod_p(_envelope(c, p), p)
+        if r == n:
             return True
-        vec = _nullvector_mod_p(m_p, p)
-        if vec is not None and _verify_kernel(lefts, rights, d, _lift_vector(vec, p)):
-            return False
-        residues.append(vec)
-    # multi-prime rational reconstruction before the exact fallback
-    if residues[0] is not None and residues[1] is not None:
-        p1, p2 = _AZUMAYA_PRIMES[0], _AZUMAYA_PRIMES[1]
-        mod = p1 * p2
-        inv = pow(p1, -1, p2)
-        combined = []
-        ok = True
-        for a1, a2 in zip(residues[0], residues[1]):
-            x = (int(a1) + p1 * ((int(a2) - int(a1)) * inv % p2)) % mod
-            f = _rational_reconstruct(x, mod)
-            if f is None:
-                ok = False
-                break
-            combined.append(f)
-        if ok and _verify_kernel(lefts, rights, d, combined):
-            return False
-    return _is_azumaya_exact_envelope(m_int, d)
-
-
-def _lift_vector(vec: np.ndarray, p: int) -> list[Fraction]:
-    """Symmetric-range integer lift of a mod-p vector."""
-    out = []
-    for x in vec:
-        x = int(x) % p
-        out.append(Fraction(x - p if x > p // 2 else x))
-    return out
-
-
-def _verify_kernel(lefts, rights, d: int, vec: Sequence[Fraction]) -> bool:
-    if all(x == 0 for x in vec):
-        return False
-    total = np.zeros((d, d), dtype=object)
-    for i in range(d):
-        acc = np.zeros((d, d), dtype=object)
-        used = False
-        for j in range(d):
-            c = vec[i * d + j]
-            if c != 0:
-                acc = acc + np.array([[c]], dtype=object) * rights[j]
-                used = True
-        if used:
-            total = total + lefts[i] @ acc
-    return all(total[r][c] == 0 for r in range(d) for c in range(d))
-
-
-def _is_azumaya_exact_envelope(m_int: np.ndarray, d: int) -> bool:
-    rows = [[Fraction(int(x)) for x in m_int[r]] for r in range(d * d)]
-    return rank(rows) == d * d
-
-
-def _is_azumaya_exact_rational(alg: StructureConstantAlgebra) -> bool:
-    d = alg.dim
-    table = alg.table
-    rows = []
-    for k_out in range(d):
-        for k_in in range(d):
-            row = []
-            for i in range(d):
-                for j in range(d):
-                    total = Fraction(0)
-                    for m in range(d):
-                        cim = table[i][k_in][m]
-                        if cim != 0:
-                            total += cim * table[m][j][k_out]
-                    row.append(total)
-            rows.append(row)
-    return rank(rows) == d * d
+        exact = _envelope(c) if exact is None else exact
+        inv = pow(modulus, -1, p)
+        acc = [a + modulus * ((v - a) * inv % p) for a, v in zip(acc, vec)]
+        modulus *= p
+        fracs = [_rational_reconstruct(a, modulus) for a in acc]
+        if None not in fracs:
+            scale = math.lcm(*(f.denominator for f in fracs))
+            if not any(exact.dot([int(f * scale) for f in fracs])):
+                return False
+    return rank([[Fraction(x) for x in row] for row in exact.tolist()]) == n
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .clifford import QuadraticFormB, QuaternionAlgebra, form_from_conic, quaternion_from_ternary
+from .linalg import primitive_int_vector
 from .models import ConicFiber, K3Point, L2Point, k3_conic, l2_conic
 
 REAL_PLACE = "real"
@@ -233,18 +234,6 @@ def _holzer_search(a: int, b: int, c: int) -> Optional[tuple[int, int, int]]:
     return None
 
 
-def _primitive_int_vector(vec: Sequence[Fraction]) -> tuple[int, int, int]:
-    denom = math.lcm(*(Fraction(x).denominator for x in vec))
-    ints = [int(Fraction(x) * denom) for x in vec]
-    g = math.gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x != 0), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)  # type: ignore[return-value]
-
-
 def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
     """Decide solvability of the plane conic and produce a primitive witness.
 
@@ -272,7 +261,7 @@ def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
         )
     w = _mat3_vec(m, [Fraction(t) for t in found])
     point = _mat3_vec([list(row) for row in p_mat], w)
-    witness = _primitive_int_vector(point)
+    witness = primitive_int_vector(point)
     if all(t == 0 for t in witness) or conic.evaluate(*witness) != 0:
         raise AssertionError("witness verification failed")
     return ConicPointResult(True, witness)

@@ -131,6 +131,18 @@ def _resolve_workers(workers: Optional[int]) -> int:
     return os.cpu_count() or 1
 
 
+def _scan(chunk, tasks: list, workers: Optional[int]) -> tuple:
+    """Run `chunk` on every task, in a process pool when more than one worker is
+    allowed, and return the union of the chunks' exceptions, sorted."""
+    nworkers = _resolve_workers(workers)
+    if nworkers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
+            chunks = list(pool.map(chunk, tasks))
+    else:
+        chunks = [chunk(t) for t in tasks]
+    return tuple(sorted(set(x for c in chunks for x in c)))
+
+
 def _loop_chunk(args: tuple[int, tuple[int, ...]]) -> list[tuple[int, int]]:
     m, ds = args
     q = loop_quiver(m)
@@ -154,15 +166,8 @@ def loop_criterion_exceptions(
     if any(d < 2 for d in ds):
         raise ValueError("loop scan needs d >= 2 (d = 1 passes vacuously)")
     t0 = time.perf_counter()
-    tasks = [(m, ds) for m in ms]
-    nworkers = _resolve_workers(workers)
-    if nworkers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
-            chunks = list(pool.map(_loop_chunk, tasks))
-    else:
-        chunks = [_loop_chunk(t) for t in tasks]
-    exceptions = sorted(set(x for chunk in chunks for x in chunk))
-    return ScanResult(tuple(exceptions), len(ms) * len(ds), time.perf_counter() - t0)
+    exceptions = _scan(_loop_chunk, [(m, ds) for m in ms], workers)
+    return ScanResult(exceptions, len(ms) * len(ds), time.perf_counter() - t0)
 
 
 def _kronecker_chunk(args: tuple[int, tuple[Pair, ...]]) -> list[tuple[int, Pair]]:
@@ -196,15 +201,8 @@ def kronecker_criterion_exceptions(
     if any(a < 1 or b < 1 for a, b in cells):
         raise ValueError("box cells must have positive entries")
     t0 = time.perf_counter()
-    tasks = [(m, cells) for m in ms]
-    nworkers = _resolve_workers(workers)
-    if nworkers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
-            chunks = list(pool.map(_kronecker_chunk, tasks))
-    else:
-        chunks = [_kronecker_chunk(t) for t in tasks]
-    exceptions = sorted(set(x for chunk in chunks for x in chunk))
-    return ScanResult(tuple(exceptions), len(ms) * len(cells), time.perf_counter() - t0)
+    exceptions = _scan(_kronecker_chunk, [(m, cells) for m in ms], workers)
+    return ScanResult(exceptions, len(ms) * len(cells), time.perf_counter() - t0)
 
 
 def grid_box(d1_max: int, d2_max: int) -> list[Pair]:

@@ -6,6 +6,7 @@ No floating point anywhere.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -132,6 +133,19 @@ def nullspace(rows: Sequence[Sequence], one=Fraction(1)) -> list[list]:
             vec[pc] = -mat[r][fc]
         basis.append(vec)
     return basis
+
+
+def primitive_int_vector(vec: Sequence) -> tuple[int, ...]:
+    """The integer multiple of a rational vector with coprime entries and a
+    positive first nonzero entry; the zero vector stays zero."""
+    denom = math.lcm(*(Fraction(x).denominator for x in vec))
+    ints = [int(Fraction(x) * denom) for x in vec]
+    g = math.gcd(*ints)
+    if g:
+        ints = [x // g for x in ints]
+    if next((x for x in ints if x != 0), 0) < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
 
 
 def det3(m: Sequence[Sequence]) -> object:

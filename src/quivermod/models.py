@@ -28,12 +28,11 @@ recovers the same pattern from sampled semiinvariant points.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import nullspace, rank
+from .linalg import nullspace, primitive_int_vector, rank
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 Vec2 = tuple[Fraction, Fraction]
@@ -271,19 +270,15 @@ def k3_conic(p: K3Point) -> ConicFiber:
     return ConicFiber(xx=p.f, yy=p.d, zz=p.a, xy=-p.e, xz=p.c, yz=-p.b)
 
 
-def _binary_form(q00: Fraction, q01: Fraction, q11: Fraction) -> tuple[Fraction, ...]:
-    return (q00, q01, q11)  # coefficients on s^2, s t, t^2
-
-
 def _pair_form(x: Mat2, y: Mat2) -> tuple[Fraction, ...]:
-    """det(Xv|Yv) as a binary quadratic form in v = (s, t)."""
+    """det(Xv|Yv) as a binary quadratic form in v = (s, t): coefficients on s^2, s t, t^2."""
     e1: Vec2 = (Fraction(1), Fraction(0))
     e2: Vec2 = (Fraction(0), Fraction(1))
     both: Vec2 = (Fraction(1), Fraction(1))
     alpha = det_cols(mat2_vec(x, e1), mat2_vec(y, e1))
     gamma = det_cols(mat2_vec(x, e2), mat2_vec(y, e2))
     beta = det_cols(mat2_vec(x, both), mat2_vec(y, both)) - alpha - gamma
-    return _binary_form(alpha, beta, gamma)
+    return (alpha, beta, gamma)
 
 
 def _poly_gcd(p1: list[Fraction], p2: list[Fraction]) -> list[Fraction]:
@@ -377,15 +372,7 @@ def fit_conic(points: Sequence[tuple[Fraction, Fraction, Fraction]]) -> Optional
     kernel = nullspace(rows)
     if len(kernel) != 1:
         return None
-    vec = kernel[0]
-    denom = math.lcm(*(c.denominator for c in vec))
-    ints = [int(c * denom) for c in vec]
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
-    lead = next(c for c in ints if c != 0)
-    if lead < 0:
-        ints = [-c for c in ints]
-    coeffs = [Fraction(c) for c in ints]
+    coeffs = [Fraction(c) for c in primitive_int_vector(kernel[0])]
     return ConicFiber(xx=coeffs[0], yy=coeffs[1], zz=coeffs[2], xy=coeffs[3], xz=coeffs[4], yz=coeffs[5])
 
 

@@ -231,6 +231,11 @@ class TestQuiverFiles:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_directory_exits_two(self, capsys, tmp_path):
+        code, out, err = run(capsys, ["euler", "--quiver", str(tmp_path), "--d", "1", "--e", "1"])
+        assert code == 2
+        assert out == [] and err.startswith("error:")
+
 
 class TestErrorHandling:
     def test_no_subcommand(self, capsys):
@@ -264,6 +269,15 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["conic", "1", "0", "0", "0", "0", "0"])
         assert code == 2
         assert "degenerate" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["--b=-3,4,-4,4,-4,8,-4,8,-4", "--char", "4294967311"],
+        ["--b", "1", "--char", "18446744073709551629"],
+    ])
+    def test_clifford_characteristic_above_bound(self, capsys, argv):
+        code, out, err = run(capsys, ["clifford", *argv])
+        assert code == 2
+        assert out == [] and err.startswith("error:") and "2^31" in err
 
     def test_clifford_non_square_entry_count(self, capsys):
         code, _, err = run(capsys, ["clifford", "--b", "1,2,3"])

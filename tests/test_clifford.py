@@ -1,9 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import quivermod.clifford as clifford_module
 from quivermod.clifford import (
     QuadraticFormB,
     QuaternionAlgebra,
@@ -16,7 +21,7 @@ from quivermod.clifford import (
     quaternion_from_ternary,
     standard_form,
 )
-from quivermod.linalg import GFElement
+from quivermod.linalg import GFElement, rank
 from quivermod.models import ConicFiber
 
 
@@ -58,6 +63,12 @@ class TestQuadraticFormB:
             QuadraticFormB([[1]], char=4)
         with pytest.raises(ValueError):
             QuadraticFormB([[1]], char=1)
+
+    def test_characteristic_bound(self):
+        assert QuadraticFormB([[1]], char=2 ** 31 - 1).char == 2 ** 31 - 1
+        for char in (4294967311, 18446744073709551629):  # primes above the bound
+            with pytest.raises(ValueError, match="below 2\\^31"):
+                QuadraticFormB([[1]], char=char)
 
     def test_value_and_polar_frozen(self):
         q = QuadraticFormB([[1, 2], [2, 3]])
@@ -255,6 +266,41 @@ class TestCliffordAlgebra:
             assert even.table[i][0][i] == 1
 
 
+def enveloping_rank_oracle(alg):
+    """Rank of the enveloping matrix by plain loops over the table's own field.
+
+    Entry (k_out, k_in), (i, j) is the e_k_out coefficient of (e_i e_k_in) e_j;
+    the library brackets the product the other way, e_i (e_k_in e_j).
+    """
+    d, t = alg.dim, alg.table
+    zero = t[0][0][0] * 0
+    rows = []
+    for k_out in range(d):
+        for k_in in range(d):
+            row = []
+            for i in range(d):
+                for j in range(d):
+                    total = zero
+                    for m in range(d):
+                        if t[i][k_in][m] != 0:
+                            total = total + t[i][k_in][m] * t[m][j][k_out]
+                    row.append(total)
+            rows.append(row)
+    return rank(rows)
+
+
+@st.composite
+def azumaya_inputs(draw):
+    """(b, char) over Q, integral or not, and over GF(p), p in {2, 3, 5, 2^31 - 1}."""
+    size = draw(st.integers(1, 3))
+    char = draw(st.sampled_from([0, 0, 2, 3, 5, 2 ** 31 - 1]))
+    b = draw(symmetric_b(size, -4, 4))
+    if char == 0 and draw(st.booleans()):
+        dens = draw(st.lists(st.sampled_from([1, 2, 3, 6]), min_size=size, max_size=size))
+        b = [[Fraction(x, dens[min(i, j)]) for j, x in enumerate(row)] for i, row in enumerate(b)]
+    return b, char
+
+
 class TestAzumaya:
     def test_trivial_algebra(self):
         cl = build_clifford(QuadraticFormB([[1]]))
@@ -288,6 +334,104 @@ class TestAzumaya:
         dummy = StructureConstantAlgebra(dim=65, table=(), char=0)
         with pytest.raises(ValueError):
             is_azumaya_over_field(dummy)
+
+    def test_characteristic_guard(self):
+        big_char = StructureConstantAlgebra(dim=1, table=(((1,),),), char=2 ** 31 + 11)
+        with pytest.raises(ValueError, match="2\\^31"):
+            is_azumaya_over_field(big_char)
+
+    @given(azumaya_inputs())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_exact_enveloping_rank(self, inp):
+        b, char = inp
+        even = build_clifford(QuadraticFormB(b, char=char)).even_part()
+        assert is_azumaya_over_field(even) == (enveloping_rank_oracle(even) == even.dim ** 2)
+
+    def test_modular_envelope_has_no_overflow(self):
+        # residues near 2^31 make each entry a sum of 16 products near 2^62,
+        # which wraps in plain int64 arithmetic
+        p = 2 ** 31 - 1
+        b = [[-1, 3, -2, 0, 1], [3, -4, 1, -3, 2], [-2, 1, 2, -1, -4],
+             [0, -3, -1, -2, 3], [1, 2, -4, 3, -3]]
+        even = build_clifford(QuadraticFormB(b, char=p)).even_part()
+        c = even.coefficient_ints()
+        d = even.dim
+        assert d == 16
+        exact = [
+            [sum(c[t][j][m] * c[i][m][s] for m in range(d)) for i in range(d) for j in range(d)]
+            for s in range(d) for t in range(d)
+        ]
+        import numpy as np
+        from quivermod.clifford import _envelope
+
+        tensor = np.array(c, dtype=object)
+        assert _envelope(tensor).tolist() == exact
+        assert _envelope(tensor, p).tolist() == [[x % p for x in row] for row in exact]
+
+    def spy(self, monkeypatch):
+        """Record the primes the enveloping matrix is built for and the exact
+        Fraction eliminations made by the Azumaya test."""
+        calls = {"envelope": [], "rank": 0}
+        envelope, exact_rank = clifford_module._envelope, clifford_module.rank
+
+        def envelope_spy(c, p=None):
+            calls["envelope"].append(p)
+            return envelope(c, p)
+
+        def rank_spy(rows):
+            calls["rank"] += 1
+            return exact_rank(rows)
+
+        monkeypatch.setattr(clifford_module, "_envelope", envelope_spy)
+        monkeypatch.setattr(clifford_module, "rank", rank_spy)
+        return calls
+
+    def test_certificate_full_rank_mod_p(self, monkeypatch):
+        even = build_clifford(standard_form(3)).even_part()
+        calls = self.spy(monkeypatch)
+        assert is_azumaya_over_field(even)
+        assert calls == {"envelope": [clifford_module._AZUMAYA_PRIMES[0]], "rank": 0}
+
+    @pytest.mark.parametrize("b", [
+        [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[Fraction(1, 2), 0, 0], [0, 0, 0], [0, 0, Fraction(3, 4)]],
+        [[-3, 4, -4], [4, -4, 8], [-4, 8, -4]],
+        # rank 128 of 256; its kernel vector has 68 nonzero entries in ninths
+        [[1, -2, -2, -1, 2], [-2, -1, 1, 2, 1], [-2, 1, 2, 2, 1], [-1, 2, 2, 2, -1],
+         [2, 1, 1, -1, 1]],
+    ])
+    def test_certificate_reconstructed_kernel(self, monkeypatch, b):
+        even = build_clifford(QuadraticFormB(b)).even_part()
+        calls = self.spy(monkeypatch)
+        assert not is_azumaya_over_field(even)
+        assert calls == {"envelope": [clifford_module._AZUMAYA_PRIMES[0], None], "rank": 0}
+
+    def test_certificate_kernel_needs_two_primes(self, monkeypatch):
+        # kernel entries in ninths reconstruct modulo 101 * 103 but not modulo 101
+        b = [[1, -2, -2, -1, 2], [-2, -1, 1, 2, 1], [-2, 1, 2, 2, 1], [-1, 2, 2, 2, -1],
+             [2, 1, 1, -1, 1]]
+        even = build_clifford(QuadraticFormB(b)).even_part()
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (101, 103, 107))
+        assert not is_azumaya_over_field(even)
+        assert calls == {"envelope": [101, None, 103], "rank": 0}
+
+    def test_certificate_exact_fallback(self, monkeypatch):
+        # 3 divides the discriminant, so the only prime sees a rank deficit
+        # that no rational kernel vector explains
+        even = build_clifford(diag_form([1, 1, 3])).even_part()
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (3,))
+        assert is_azumaya_over_field(even)
+        assert calls == {"envelope": [3, None], "rank": 1}
+
+    def test_import_leaves_numpy_unloaded(self):
+        code = ("import sys, quivermod\n"
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.')))")
+        env = dict(os.environ, PYTHONPATH=str(Path(clifford_module.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env=env)
+        assert out.stdout.strip() == "[]"
 
     @given(symmetric_b(3, -3, 3))
     @settings(max_examples=25, deadline=None)
