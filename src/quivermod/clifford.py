@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .linalg import GFElement, nullspace, rank
+from .linalg import GFElement, clear_denominators, factor, nullspace, rank
 from .models import ConicFiber
 
 Scalar = Union[Fraction, GFElement]
 
 # Prime characteristics must lie below this bound: the modular Azumaya test
-# keeps residue products below 2^62 in int64 and trial division stays short.
+# keeps residue products below 2^62 in int64.
 CHAR_BOUND = 2 ** 31
 
 # numpy serves only the Azumaya test. It is registered lazily, so `import
@@ -49,9 +49,7 @@ class QuadraticFormB:
         if char == 0:
             mat = tuple(tuple(Fraction(x) for x in row) for row in b)
         else:
-            if not 2 <= char < CHAR_BOUND or any(
-                char % k == 0 for k in range(2, math.isqrt(char) + 1)
-            ):
+            if not 2 <= char < CHAR_BOUND or factor(char) != {char: 1}:
                 raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {char}")
             zero = GFElement(char, 0)
             mat = tuple(
@@ -193,7 +191,7 @@ def is_smooth_quadric(q: QuadraticFormB) -> bool:
         return rank(g) == q.size
     if q.size % 2 == 0:
         return rank(g) == q.size
-    kernel = nullspace(g, one=q.one())
+    kernel = nullspace(g)
     if len(kernel) != 1:
         return False
     return q.value(kernel[0]) != 0
@@ -284,7 +282,7 @@ class CliffordAlgebra:
                     row[index[m]] = c
                 table[i][j] = tuple(row)
         return StructureConstantAlgebra(
-            dim=d, table=tuple(tuple(r) for r in table), char=self.q.char, unit_index=0
+            dim=d, table=tuple(tuple(r) for r in table), char=self.q.char
         )
 
 
@@ -299,7 +297,6 @@ class StructureConstantAlgebra:
     dim: int
     table: tuple
     char: int
-    unit_index: Optional[int] = None
 
     def coefficient_ints(self) -> Optional[list[list[list[int]]]]:
         """Structure constants as Python ints when exactly representable, else None."""
@@ -415,8 +412,7 @@ def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
         zero = GFElement(char, 0)
         flat = [(zero + x).v for x in flat]
     else:
-        scale = math.lcm(*(x.denominator for x in flat))
-        flat = [x.numerator * (scale // x.denominator) for x in flat]
+        flat = clear_denominators(flat)
     c = np.array(flat, dtype=object).reshape(d, d, d)
     if char:
         return _echelon_mod_p(_envelope(c, char), char)[0] == n
@@ -431,8 +427,7 @@ def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
         modulus *= p
         fracs = [_rational_reconstruct(a, modulus) for a in acc]
         if None not in fracs:
-            scale = math.lcm(*(f.denominator for f in fracs))
-            if not any(exact.dot([int(f * scale) for f in fracs])):
+            if not any(exact.dot(clear_denominators(fracs))):
                 return False
     return rank([[Fraction(x) for x in row] for row in exact.tolist()]) == n
 

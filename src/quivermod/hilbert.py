@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .clifford import QuadraticFormB, QuaternionAlgebra, form_from_conic, quaternion_from_ternary
-from .linalg import primitive_int_vector
+from .clifford import QuaternionAlgebra, form_from_conic, quaternion_from_ternary
+from .linalg import clear_denominators, factor, mat_vec, primitive_int_vector
 from .models import ConicFiber, K3Point, L2Point, k3_conic, l2_conic
 
 REAL_PLACE = "real"
@@ -57,13 +57,18 @@ def _legendre(a: int, p: int) -> int:
 
 def hilbert_symbol(u: Rational, v: Rational, place: Place) -> int:
     """Local Hilbert symbol (u, v) at a prime or the real place."""
-    a = _square_class_int(u)
-    b = _square_class_int(v)
+    if place != REAL_PLACE and (
+        not isinstance(place, int) or place < 2 or factor(place) != {place: 1}
+    ):
+        raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
+    return _local_symbol(_square_class_int(u), _square_class_int(v), place)
+
+
+def _local_symbol(a: int, b: int, place: Place) -> int:
+    """(a, b) at a place already known to be a prime or the real place."""
     if place == REAL_PLACE:
         return -1 if (a < 0 and b < 0) else 1
     p = place
-    if not isinstance(p, int) or p < 2:
-        raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
     alpha, a0 = _split_valuation(a, p)
     beta, b0 = _split_valuation(b, p)
     if p == 2:
@@ -83,24 +88,6 @@ def hilbert_symbol(u: Rational, v: Rational, place: Place) -> int:
     return sign
 
 
-def _odd_prime_factors(n: int) -> set[int]:
-    n = abs(n)
-    out: set[int] = set()
-    while n % 2 == 0:
-        n //= 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            while n % d == 0:
-                n //= d
-        else:
-            d += 2
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def relevant_places(u: Rational, v: Rational) -> tuple[Place, ...]:
     """Real place, 2, and the odd primes dividing either argument's square class.
 
@@ -108,13 +95,14 @@ def relevant_places(u: Rational, v: Rational) -> tuple[Place, ...]:
     """
     a = _square_class_int(u)
     b = _square_class_int(v)
-    odd = sorted(_odd_prime_factors(a) | _odd_prime_factors(b))
+    odd = sorted((factor(a).keys() | factor(b).keys()) - {2})
     return (REAL_PLACE, 2, *odd)
 
 
 def symbol_profile(u: Rational, v: Rational) -> tuple[HilbertSymbolEvaluation, ...]:
+    a, b = _square_class_int(u), _square_class_int(v)
     return tuple(
-        HilbertSymbolEvaluation(place, hilbert_symbol(u, v, place))
+        HilbertSymbolEvaluation(place, _local_symbol(a, b, place))
         for place in relevant_places(u, v)
     )
 
@@ -135,44 +123,17 @@ class ConicPointResult:
 
 def _squarefree_decompose(n: int) -> tuple[int, int]:
     """(s, n0) with n = s^2 n0 and n0 squarefree."""
-    s, n0 = 1, n
-    d = 2
-    while d * d <= abs(n0):
-        while n0 % (d * d) == 0:
-            n0 //= d * d
-            s *= d
-        d += 1
-    return s, n0
-
-
-def _diag3(x: Rational, y: Rational, z: Rational) -> list[list[Fraction]]:
-    zero = Fraction(0)
-    return [
-        [Fraction(x), zero, zero],
-        [zero, Fraction(y), zero],
-        [zero, zero, Fraction(z)],
-    ]
-
-
-def _mat3_mul(m1, m2):
-    return [
-        [sum(m1[i][k] * m2[k][j] for k in range(3)) for j in range(3)]
-        for i in range(3)
-    ]
-
-
-def _mat3_vec(m, v):
-    return [sum(m[i][k] * v[k] for k in range(3)) for i in range(3)]
+    s = math.prod(p ** (e // 2) for p, e in factor(n).items())
+    return s, n // (s * s)
 
 
 def _legendre_reduce(a: int, b: int, c: int):
     """Reduce diag(a,b,c) to squarefree pairwise coprime coefficients.
 
-    Returns (a', b', c', M) where M maps solutions of the reduced form to
-    solutions of diag(a,b,c) x^2 = 0.
+    Returns (a', b', c', m) where the diagonal map x_i -> m[i] x_i takes
+    solutions of the reduced form to solutions of diag(a,b,c) x^2 = 0.
     """
-    one = Fraction(1)
-    m = _diag3(one, one, one)
+    m = [Fraction(1)] * 3
     while True:
         g = math.gcd(a, math.gcd(b, c))
         if g > 1:
@@ -181,32 +142,32 @@ def _legendre_reduce(a: int, b: int, c: int):
         sa, a0 = _squarefree_decompose(a)
         if sa > 1:
             a = a0
-            m = _mat3_mul(m, _diag3(Fraction(1, sa), 1, 1))
+            m[0] /= sa
             continue
         sb, b0 = _squarefree_decompose(b)
         if sb > 1:
             b = b0
-            m = _mat3_mul(m, _diag3(1, Fraction(1, sb), 1))
+            m[1] /= sb
             continue
         sc, c0 = _squarefree_decompose(c)
         if sc > 1:
             c = c0
-            m = _mat3_mul(m, _diag3(1, 1, Fraction(1, sc)))
+            m[2] /= sc
             continue
         g = math.gcd(a, b)
         if g > 1:
             a, b, c = a // g, b // g, c * g
-            m = _mat3_mul(m, _diag3(1, 1, g))
+            m[2] *= g
             continue
         g = math.gcd(a, c)
         if g > 1:
             a, b, c = a // g, b * g, c // g
-            m = _mat3_mul(m, _diag3(1, g, 1))
+            m[1] *= g
             continue
         g = math.gcd(b, c)
         if g > 1:
             a, b, c = a * g, b // g, c // g
-            m = _mat3_mul(m, _diag3(g, 1, 1))
+            m[0] *= g
             continue
         return a, b, c, m
 
@@ -251,17 +212,13 @@ def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
     solvable = quaternion_is_split(QuaternionAlgebra(-alpha * gamma, -beta * gamma))
     if not solvable:
         return ConicPointResult(False, None)
-    scale = math.lcm(*(Fraction(x).denominator for x in coeffs))
-    a, b, c = (int(x * scale) for x in coeffs)
-    a, b, c, m = _legendre_reduce(a, b, c)
+    a, b, c, m = _legendre_reduce(*clear_denominators(coeffs))
     found = _holzer_search(a, b, c)
     if found is None:
         raise RuntimeError(
             "locally solvable conic with no witness inside the Holzer bound"
         )
-    w = _mat3_vec(m, [Fraction(t) for t in found])
-    point = _mat3_vec([list(row) for row in p_mat], w)
-    witness = primitive_int_vector(point)
+    witness = primitive_int_vector(mat_vec(p_mat, [mi * t for mi, t in zip(m, found)]))
     if all(t == 0 for t in witness) or conic.evaluate(*witness) != 0:
         raise AssertionError("witness verification failed")
     return ConicPointResult(True, witness)

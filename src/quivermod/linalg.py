@@ -1,8 +1,8 @@
-"""Small exact linear algebra over an arbitrary field.
+"""Small exact linear algebra over an arbitrary field, and the integer helpers
+the other modules share: bounded factoring and clearing denominators.
 
-Works for any element type supporting +, -, *, /, equality with 0, and bool.
-Used with fractions.Fraction for characteristic 0 and GFElement for prime fields.
-No floating point anywhere.
+Elimination works over Fraction (characteristic 0; int entries are coerced to
+Fraction) and over GFElement (prime fields). No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -88,8 +88,13 @@ class GFElement:
 
 
 def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form. Returns (matrix, pivot column indices)."""
-    mat = [list(row) for row in rows]
+    """Reduced row echelon form. Returns (matrix, pivot column indices).
+
+    Entries that are not GFElement are coerced to Fraction, so integer input
+    is eliminated exactly rather than by float division.
+    """
+    field = (Fraction, GFElement)
+    mat = [[x if isinstance(x, field) else Fraction(x) for x in row] for row in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -117,14 +122,15 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence], one=Fraction(1)) -> list[list]:
-    """Basis of the right kernel. `one` supplies the field's multiplicative unit."""
+def nullspace(rows: Sequence[Sequence]) -> list[list]:
+    """Basis of the right kernel, in the field of the eliminated entries."""
     mat, pivots = rref(rows)
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    zero = one - one
+    ncols = len(rows[0]) if rows else 0
     free = [c for c in range(ncols) if c not in pivots]
+    if not free:
+        return []
+    zero = mat[0][0] * 0
+    one = zero + 1
     basis = []
     for fc in free:
         vec = [zero] * ncols
@@ -135,11 +141,16 @@ def nullspace(rows: Sequence[Sequence], one=Fraction(1)) -> list[list]:
     return basis
 
 
+def clear_denominators(vec: Sequence) -> list[int]:
+    """The vector times the lcm of its entries' denominators (int or Fraction)."""
+    scale = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (scale // x.denominator) for x in vec]
+
+
 def primitive_int_vector(vec: Sequence) -> tuple[int, ...]:
     """The integer multiple of a rational vector with coprime entries and a
     positive first nonzero entry; the zero vector stays zero."""
-    denom = math.lcm(*(Fraction(x).denominator for x in vec))
-    ints = [int(Fraction(x) * denom) for x in vec]
+    ints = clear_denominators(vec)
     g = math.gcd(*ints)
     if g:
         ints = [x // g for x in ints]
@@ -158,6 +169,29 @@ def mat_vec(m: Sequence[Sequence], v: Sequence) -> list:
     return [sum(mi * vi for mi, vi in zip(row, v)) for row in m]
 
 
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+# Trial divisors stop at this bound. n factors when what is left of |n| after
+# its prime factors up to the bound is below 2^44 (that rest is then 1 or a
+# prime), so every |n| below 2^44 factors; any other n is a domain error
+# rather than a search without end.
+FACTOR_BOUND = 2 ** 22
+
+
+def factor(n: int) -> dict[int, int]:
+    """Prime factorisation of |n| as {prime: exponent}, by trial division up to
+    FACTOR_BOUND; the cofactor left is prime once the divisor passes its root.
+
+    Raises ValueError for n = 0 and when that needs a divisor beyond the bound.
+    """
+    if n == 0:
+        raise ValueError("cannot factor 0")
+    rest, out, d = abs(n), {}, 2
+    while d * d <= rest and d <= FACTOR_BOUND:
+        while rest % d == 0:
+            out[d] = out.get(d, 0) + 1
+            rest //= d
+        d += 1 if d == 2 else 2
+    if d * d <= rest:
+        raise ValueError(f"capacity: factoring {n} needs trial divisors beyond 2^22")
+    if rest > 1:
+        out[rest] = out.get(rest, 0) + 1
+    return out

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import nullspace, primitive_int_vector, rank
+from .linalg import det3, nullspace, primitive_int_vector, rank
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 Vec2 = tuple[Fraction, Fraction]
@@ -110,8 +110,7 @@ class ConicFiber:
         )
 
     def gram_determinant(self) -> Fraction:
-        (a, b, c), (_, d, e), (_, _, f) = self.symmetric_matrix()
-        return a * (d * f - e * e) - b * (b * f - e * c) + c * (b * e - d * c)
+        return det3(self.symmetric_matrix())
 
     @property
     def is_nondegenerate(self) -> bool:

@@ -55,6 +55,13 @@ def kronecker_quiver(m: int) -> Quiver:
     return Quiver(2, ((0, m), (0, 0)))
 
 
+def _parse_int(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"line {lineno}: expected an integer, got {token!r}") from None
+
+
 def parse_quiver(text: str) -> Quiver:
     """Parse the plain text format: a `vertices <k>` line, then `arrow <i> <j> <mult>` lines.
 
@@ -72,11 +79,11 @@ def parse_quiver(text: str) -> Quiver:
                 raise ValueError(f"line {lineno}: duplicate vertices line")
             if len(parts) != 2:
                 raise ValueError(f"line {lineno}: expected 'vertices <k>'")
-            vertex_count = int(parts[1])
+            vertex_count = _parse_int(parts[1], lineno)
         elif parts[0] == "arrow":
             if len(parts) != 4:
                 raise ValueError(f"line {lineno}: expected 'arrow <i> <j> <mult>'")
-            arrow_lines.append((int(parts[1]), int(parts[2]), int(parts[3])))
+            arrow_lines.append(tuple(_parse_int(t, lineno) for t in parts[1:]))
         else:
             raise ValueError(f"line {lineno}: unknown directive {parts[0]!r}")
     if vertex_count is None:

@@ -260,7 +260,6 @@ class TestCliffordAlgebra:
                     assert bin(m).count("1") % 2 == 0
         even = cl.even_part()
         assert even.dim == 4
-        assert even.unit_index == 0
         for i in range(4):
             assert even.table[0][i][i] == 1
             assert even.table[i][0][i] == 1

@@ -92,6 +92,14 @@ class TestHilbertSymbol:
         with pytest.raises(ValueError):
             hilbert_symbol(1, 1, "nowhere")
 
+    @pytest.mark.parametrize("place", [4, 9, 15, 1001])
+    def test_rejects_composite_place(self, place):
+        with pytest.raises(ValueError, match="prime"):
+            hilbert_symbol(3, 5, place)
+
+    def test_accepts_large_prime_place(self):
+        assert hilbert_symbol(3, 5, 2**31 - 1) == 1
+
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_against_brute_padic_search(self, p):
         units = [1, -1, 2, 3, -3, 5]
@@ -237,7 +245,7 @@ class TestConicPoints:
         samples = [(1, 2, 3), (1, 0, 1), (2, 1, 1), (0, 1, 4)]
         pairs = []
         for v in samples:
-            mv = [sum(m[i][k] * v[k] for k in range(3)) for i in range(3)]
+            mv = [m[i] * v[i] for i in range(3)]
             orig = a * mv[0] ** 2 + b * mv[1] ** 2 + c * mv[2] ** 2
             red = ra * v[0] ** 2 + rb * v[1] ** 2 + rc * v[2] ** 2
             pairs.append((orig, red))

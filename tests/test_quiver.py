@@ -2,6 +2,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, strategies as st
 
+from quivermod.cli import main
 from quivermod.quiver import (
     Quiver,
     euler_form,
@@ -84,6 +85,24 @@ class TestQuiverTextFormat:
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):
             parse_quiver(text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("vertices 2\narrow 0 1 x\n", "line 2: expected an integer, got 'x'"),
+        ("# header\nvertices two\n", "line 2: expected an integer, got 'two'"),
+        ("vertices 2\n\narrow 0 1.5 1\n", "line 3: expected an integer, got '1.5'"),
+    ])
+    def test_parse_error_names_the_line(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse_quiver(text)
+        assert str(exc.value) == message
+
+    def test_parse_error_exits_two_on_the_command_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.q"
+        path.write_text("vertices 2\narrow 0 1 x\n")
+        assert main(["dim", "--quiver", str(path), "--d", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 2: expected an integer, got 'x'\n"
 
     @given(small_quivers())
     def test_round_trip(self, q):
