@@ -53,7 +53,7 @@ def main(argv=None) -> int:
     parser.add_argument("--kronecker-m-max", type=int, default=8)
     parser.add_argument("--kronecker-d-max", type=int, default=10)
     parser.add_argument("--workers", type=int, default=None,
-                        help="process count; when absent, QUIVERMOD_THREADS, else the CPU count")
+                        help="accepted and ignored; the scans run in one process")
     args = parser.parse_args(argv)
 
     loop = loop_criterion_exceptions(

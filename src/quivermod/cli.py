@@ -1,9 +1,9 @@
 """Command line interface.
 
-Output is tab-separated, one record per line, deterministic across runs and
-worker counts. Exact rationals print as `p/q` (bare integer when the
-denominator is 1) and parse back identically. Exit codes: 0 success, 1
-verification mismatch in the verify subcommands, 2 usage or domain error.
+Output is tab-separated, one record per line, deterministic across runs.
+Exact rationals print as `p/q` (bare integer when the denominator is 1) and
+parse back identically. Exit codes: 0 success, 1 verification mismatch in the
+verify subcommands, 2 usage or domain error.
 """
 from __future__ import annotations
 
@@ -331,14 +331,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-loop", help="re-run the loop quiver case analysis")
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--d-max", type=int, default=12)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored; the scans run in one process")
     p.set_defaults(func=_cmd_verify_loop)
 
     p = sub.add_parser("verify-kronecker",
                        help="re-run the generalized Kronecker case analysis")
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--d-max", type=int, default=10)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None,
+                   help="accepted and ignored; the scans run in one process")
     p.set_defaults(func=_cmd_verify_kronecker)
 
     p = sub.add_parser("l2", help="invariants of a pair of 2x2 matrices")

@@ -298,26 +298,6 @@ class StructureConstantAlgebra:
     table: tuple
     char: int
 
-    def coefficient_ints(self) -> Optional[list[list[list[int]]]]:
-        """Structure constants as Python ints when exactly representable, else None."""
-        out = []
-        for row in self.table:
-            r2 = []
-            for cell in row:
-                r3 = []
-                for c in cell:
-                    if isinstance(c, GFElement):
-                        r3.append(c.v)
-                    elif isinstance(c, Fraction):
-                        if c.denominator != 1:
-                            return None
-                        r3.append(int(c))
-                    else:
-                        r3.append(int(c))
-                r2.append(r3)
-            out.append(r2)
-        return out
-
 
 _AZUMAYA_PRIMES = (2147483629, 2147483587, 2147483563)
 

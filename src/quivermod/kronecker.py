@@ -5,15 +5,13 @@ For m-Kronecker quivers the scan normalizes each dimension vector into the
 window d1 <= d2 <= (m/2) d1 using source/sink reflections and dualization,
 skips vectors whose reduced coprime part (p, q) has m p q - p^2 - q^2 < 0
 (empty or zero-dimensional moduli), and runs the criterion with theta = (1, 0)
-on the normalized vector. Exceptions are recorded by normalized vector and
-deduplicated, since many grid cells share one normalized representative.
+once on each distinct normalized vector, since many grid cells share one
+normalized representative. Exceptions are recorded by normalized vector.
 """
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -119,73 +117,30 @@ class ScanResult:
     elapsed: float
 
 
-def _resolve_workers(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("QUIVERMOD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
-
-
-def _scan(chunk, tasks: list, workers: Optional[int]) -> tuple:
-    """Run `chunk` on every task, in a process pool when more than one worker is
-    allowed, and return the union of the chunks' exceptions, sorted."""
-    nworkers = _resolve_workers(workers)
-    if nworkers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=min(nworkers, len(tasks))) as pool:
-            chunks = list(pool.map(chunk, tasks))
-    else:
-        chunks = [chunk(t) for t in tasks]
-    return tuple(sorted(set(x for c in chunks for x in c)))
-
-
-def _loop_chunk(args: tuple[int, tuple[int, ...]]) -> list[tuple[int, int]]:
-    m, ds = args
-    q = loop_quiver(m)
-    bad = []
-    for d in ds:
-        report = check_ample_stability_criterion(q, (0,), (d,))
-        if not report.verdict:
-            bad.append((m, d))
-    return bad
-
-
 def loop_criterion_exceptions(
     m_range: Sequence[int], d_range: Sequence[int], workers: Optional[int] = None
 ) -> ScanResult:
     """Run the criterion on every loop quiver cell; slope is constant on one
-    vertex so every proper decomposition qualifies and theta is irrelevant."""
+    vertex so every proper decomposition qualifies and theta is irrelevant.
+    `workers` is accepted and ignored: the scan runs in one process."""
     ms = sorted(set(int(m) for m in m_range))
-    ds = tuple(sorted(set(int(d) for d in d_range)))
-    if any(m < 2 for m in ms):
+    ds = sorted(set(int(d) for d in d_range))
+    if not ms or not ds:
+        raise ValueError("loop scan needs a nonempty m-range and d-range")
+    if ms[0] < 2:
         raise ValueError("loop scan needs m >= 2")
-    if any(d < 2 for d in ds):
+    if ds[0] < 2:
         raise ValueError("loop scan needs d >= 2 (d = 1 passes vacuously)")
     t0 = time.perf_counter()
-    exceptions = _scan(_loop_chunk, [(m, ds) for m in ms], workers)
-    return ScanResult(exceptions, len(ms) * len(ds), time.perf_counter() - t0)
-
-
-def _kronecker_chunk(args: tuple[int, tuple[Pair, ...]]) -> list[tuple[int, Pair]]:
-    m, cells = args
-    q = kronecker_quiver(m)
-    bad = []
-    for cell in cells:
-        n = math.gcd(*cell)
-        p, qq = cell[0] // n, cell[1] // n
-        if m * p * qq - p * p - qq * qq < 0:
-            continue  # stable moduli empty or a single point
-        norm = normalize_kronecker(m, cell)
-        if norm.degenerate:
-            continue
-        report = check_ample_stability_criterion(q, (1, 0), norm.normalized)
-        if not report.verdict:
-            bad.append((m, norm.normalized))
-    return bad
+    exceptions = []
+    for m in ms:
+        quiver = loop_quiver(m)
+        exceptions.extend(
+            (m, d)
+            for d in ds
+            if not check_ample_stability_criterion(quiver, (0,), (d,)).verdict
+        )
+    return ScanResult(tuple(exceptions), len(ms) * len(ds), time.perf_counter() - t0)
 
 
 def kronecker_criterion_exceptions(
@@ -193,16 +148,38 @@ def kronecker_criterion_exceptions(
     box: Sequence[Pair],
     workers: Optional[int] = None,
 ) -> ScanResult:
-    """Scan (m, cell) pairs; criterion failures are keyed by normalized vector."""
+    """Scan (m, cell) pairs; criterion failures are keyed by normalized vector.
+
+    For each m the criterion runs once on each distinct normalized vector of
+    the box. `workers` is accepted and ignored: the scan runs in one process.
+    """
     ms = sorted(set(int(m) for m in m_range))
-    if any(m < 3 for m in ms):
+    cells = sorted(set((int(a), int(b)) for a, b in box))
+    if not ms or not cells:
+        raise ValueError("kronecker scan needs a nonempty m-range and box")
+    if ms[0] < 3:
         raise ValueError("kronecker scan needs m >= 3")
-    cells = tuple(sorted(set((int(a), int(b)) for a, b in box)))
     if any(a < 1 or b < 1 for a, b in cells):
         raise ValueError("box cells must have positive entries")
     t0 = time.perf_counter()
-    exceptions = _scan(_kronecker_chunk, [(m, cells) for m in ms], workers)
-    return ScanResult(exceptions, len(ms) * len(cells), time.perf_counter() - t0)
+    exceptions = []
+    for m in ms:
+        vectors = set()
+        for cell in cells:
+            n = math.gcd(*cell)
+            p, q = cell[0] // n, cell[1] // n
+            if m * p * q - p * p - q * q < 0:
+                continue  # stable moduli empty or a single point
+            norm = normalize_kronecker(m, cell)
+            if not norm.degenerate:
+                vectors.add(norm.normalized)
+        quiver = kronecker_quiver(m)
+        exceptions.extend(
+            (m, d)
+            for d in sorted(vectors)
+            if not check_ample_stability_criterion(quiver, (1, 0), d).verdict
+        )
+    return ScanResult(tuple(exceptions), len(ms) * len(cells), time.perf_counter() - t0)
 
 
 def grid_box(d1_max: int, d2_max: int) -> list[Pair]:

@@ -121,8 +121,11 @@ def _check_dim(q: Quiver, d: Sequence[int], name: str = "d") -> tuple[int, ...]:
 
 def euler_form(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     """<d,e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j. Bilinear, generally asymmetric."""
-    d = _check_dim(q, d, "d")
-    e = _check_dim(q, e, "e")
+    return _euler(q, _check_dim(q, d, "d"), _check_dim(q, e, "e"))
+
+
+def _euler(q: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:
+    """euler_form on vectors already checked against q; for loops over many pairs."""
     total = sum(di * ei for di, ei in zip(d, e))
     for i, row in enumerate(q.arrows):
         for j, mult in enumerate(row):

@@ -13,7 +13,16 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterator, Optional, Sequence
 
-from .quiver import Quiver, euler_form, gcd_of, kronecker_quiver, loop_quiver, slope
+from .quiver import (
+    Quiver,
+    _check_dim,
+    _euler,
+    euler_form,
+    gcd_of,
+    kronecker_quiver,
+    loop_quiver,
+    slope,
+)
 
 DimVec = tuple[int, ...]
 
@@ -49,18 +58,36 @@ class AmpleStabilityReport:
     max_pairing: Optional[int]
 
 
+def _check_args(q: Quiver, theta: Sequence[int], d: Sequence[int]) -> tuple[DimVec, DimVec]:
+    """theta and d as int tuples with one entry per vertex of q; d nonnegative, nonzero."""
+    d = _check_dim(q, d)
+    if all(x == 0 for x in d):
+        raise ValueError("dimension vector must be nonzero")
+    theta = tuple(int(x) for x in theta)
+    if len(theta) != q.vertex_count:
+        raise ValueError(f"theta has {len(theta)} entries, quiver has {q.vertex_count} vertices")
+    return theta, d
+
+
+def _slope_splits(theta: DimVec, d: DimVec) -> Iterator[tuple[DimVec, DimVec, int]]:
+    """Yield (e, f, s) for each decomposition of d, where s has the sign of
+    slope(e) - slope(f): theta(e)|f| - theta(f)|e|, exact in integers."""
+    theta_d, size_d = sum(t * x for t, x in zip(theta, d)), sum(d)
+    for e, f in enumerate_decompositions(d):
+        theta_e, size_e = sum(t * x for t, x in zip(theta, e)), sum(e)
+        yield e, f, theta_e * (size_d - size_e) - (theta_d - theta_e) * size_e
+
+
 def check_ample_stability_criterion(
     q: Quiver, theta: Sequence[int], d: Sequence[int]
 ) -> AmpleStabilityReport:
-    d = tuple(int(x) for x in d)
-    if all(x == 0 for x in d):
-        raise ValueError("dimension vector must be nonzero")
+    theta, d = _check_args(q, theta, d)
     witness = None
     max_pairing: Optional[int] = None
-    for e, f in enumerate_decompositions(d):
-        if slope(theta, e) < slope(theta, f):
+    for e, f, sign in _slope_splits(theta, d):
+        if sign < 0:
             continue
-        pairing = euler_form(q, e, f)
+        pairing = _euler(q, e, f)
         if max_pairing is None or pairing > max_pairing:
             max_pairing = pairing
         if pairing >= -1 and witness is None:
@@ -96,14 +123,11 @@ def hn_types(
     applied. A supplied sst_filter must be sound: it may only accept vectors
     whose semistable locus is nonempty.
     """
-    d = tuple(int(x) for x in d)
-    if all(x == 0 for x in d):
-        raise ValueError("dimension vector must be nonzero")
+    theta, d = _check_args(q, theta, d)
     if max_parts is None:
         max_parts = sum(d)
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
-    theta = tuple(int(x) for x in theta)
     zero = tuple(0 for _ in d)
     out: list[HNType] = []
 
@@ -143,14 +167,12 @@ def strictly_semistable_wall_codim(
     q: Quiver, theta: Sequence[int], d: Sequence[int]
 ) -> Optional[int]:
     """min of -<e,f> over proper decompositions with equal slopes, None if no such split."""
-    d = tuple(int(x) for x in d)
-    if all(x == 0 for x in d):
-        raise ValueError("dimension vector must be nonzero")
+    theta, d = _check_args(q, theta, d)
     best: Optional[int] = None
-    for e, f in enumerate_decompositions(d):
-        if slope(theta, e) != slope(theta, f):
+    for e, f, sign in _slope_splits(theta, d):
+        if sign:
             continue
-        codim = -euler_form(q, e, f)
+        codim = -_euler(q, e, f)
         if best is None or codim < best:
             best = codim
     return best

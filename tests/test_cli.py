@@ -288,3 +288,21 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["euler", "--quiver", "loop:2", "--d", "1,2", "--e", "1"])
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["amply-stable", "wall", "hn", "brauer"])
+    def test_vectors_longer_than_the_quiver(self, capsys, command):
+        code, out, err = run(capsys, [command, "--quiver", "kronecker:3",
+                                      "--theta", "1,0,0", "--d", "1,0,0"])
+        assert code == 2
+        assert out == [] and "3 entries, quiver has 2 vertices" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify-kronecker", "--m-max", "2"],
+        ["verify-kronecker", "--d-max", "0"],
+        ["verify-loop", "--m-max", "1"],
+        ["verify-loop", "--d-max", "1"],
+    ])
+    def test_empty_scan_exits_two(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == [] and "nonempty" in err

@@ -1,11 +1,11 @@
 import math
 
 import pytest
+import quivermod.kronecker as kronecker_module
 from hypothesis import assume, given, settings, strategies as st
 
 from quivermod.kronecker import (
     KroneckerInstance,
-    _resolve_workers,
     grid_box,
     kronecker_criterion_exceptions,
     kronecker_dualize,
@@ -153,12 +153,45 @@ class TestScans:
         assert once.exceptions == doubled.exceptions
         assert once.scanned == doubled.scanned
 
-    def test_env_var_caps_workers(self, monkeypatch):
-        monkeypatch.setenv("QUIVERMOD_THREADS", "3")
-        assert _resolve_workers(None) == 3
-        assert _resolve_workers(1) == 1
-        monkeypatch.setenv("QUIVERMOD_THREADS", "junk")
-        assert _resolve_workers(None) >= 1
+    def test_empty_ranges_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            kronecker_criterion_exceptions(range(3, 3), grid_box(4, 4))
+        with pytest.raises(ValueError, match="nonempty"):
+            kronecker_criterion_exceptions(range(3, 6), grid_box(0, 0))
+        with pytest.raises(ValueError, match="nonempty"):
+            loop_criterion_exceptions(range(2, 2), range(2, 6))
+        with pytest.raises(ValueError, match="nonempty"):
+            loop_criterion_exceptions(range(2, 6), range(2, 2))
+
+    def test_criterion_runs_once_per_distinct_vector(self, monkeypatch):
+        calls = []
+        criterion = kronecker_module.check_ample_stability_criterion
+
+        def spy(q, theta, d):
+            calls.append((q, tuple(theta), tuple(d)))
+            return criterion(q, theta, d)
+
+        monkeypatch.setattr(kronecker_module, "check_ample_stability_criterion", spy)
+        ms, box = range(3, 9), grid_box(10, 10)
+        result = kronecker_criterion_exceptions(ms, box, workers=1)
+        expected = []
+        for m in ms:
+            vectors = set()
+            for cell in box:
+                n = math.gcd(*cell)
+                p, q = cell[0] // n, cell[1] // n
+                norm = normalize_kronecker(m, cell)
+                if m * p * q - p * p - q * q >= 0 and not norm.degenerate:
+                    vectors.add(norm.normalized)
+            expected += [(kronecker_quiver(m), (1, 0), d) for d in vectors]
+        assert sorted(calls, key=repr) == sorted(expected, key=repr)
+        assert result.scanned == 6 * 100
+        assert result.exceptions == ((3, (2, 2)),)
+
+        calls.clear()
+        result = loop_criterion_exceptions(range(2, 9), range(2, 13), workers=1)
+        assert len(calls) == len(set(calls)) == 7 * 11
+        assert result.scanned == 7 * 11
 
 
 class TestInequalityTrace:

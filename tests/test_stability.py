@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from quivermod.quiver import euler_form, kronecker_quiver, loop_quiver, slope
+from quivermod.quiver import Quiver, euler_form, kronecker_quiver, loop_quiver, slope
 from quivermod.stability import (
     AmpleStabilityReport,
     check_ample_stability_criterion,
@@ -14,6 +14,18 @@ from quivermod.stability import (
 )
 
 K3 = kronecker_quiver(3)
+
+
+@st.composite
+def quiver_inputs(draw):
+    """A quiver on 1-3 vertices (loops and arrows either way, up to 3 each),
+    a nonzero dimension vector with entries <= 3 and a theta in [-3, 3]."""
+    k = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    d = draw(st.tuples(*[st.integers(0, 3)] * k).filter(any))
+    theta = draw(st.tuples(*[st.integers(-3, 3)] * k))
+    return Quiver.from_matrix(rows), theta, d
 
 
 class TestDecompositions:
@@ -69,14 +81,20 @@ class TestAmpleStabilityCriterion:
         with pytest.raises(ValueError):
             check_ample_stability_criterion(K3, (1, 0), (0, 0))
 
-    @given(
-        st.integers(1, 4),
-        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
-        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-    )
-    @settings(max_examples=60)
-    def test_agrees_with_direct_recomputation(self, m, d, theta):
-        q = kronecker_quiver(m)
+    def test_wrong_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            check_ample_stability_criterion(K3, (1, 0, 0), (1, 0, 0))
+        with pytest.raises(ValueError):
+            check_ample_stability_criterion(K3, (1, 0, 0), (1, 0))
+        with pytest.raises(ValueError):
+            check_ample_stability_criterion(loop_quiver(2), (0, 0), (1,))
+        with pytest.raises(ValueError):
+            check_ample_stability_criterion(K3, (1, 0), (1, -1))
+
+    @given(quiver_inputs())
+    @settings(max_examples=200)
+    def test_agrees_with_direct_recomputation(self, inp):
+        q, theta, d = inp
         report = check_ample_stability_criterion(q, theta, d)
         qualifying = [
             (e, f)
@@ -115,6 +133,12 @@ class TestHNTypes:
         types = hn_types(K3, (1, 0), (3, 1))
         assert any(t.parts == ((3, 1),) for t in types)
 
+    def test_wrong_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            hn_types(K3, (1, 0, 0), (1, 0, 0))
+        with pytest.raises(ValueError):
+            hn_types(K3, (1, 0), (1, -1))
+
     def test_max_parts_truncates(self):
         types = hn_types(K3, (1, 0), (2, 2), max_parts=1)
         assert [t.parts for t in types] == [((2, 2),)]
@@ -152,19 +176,21 @@ class TestWall:
         assert strictly_semistable_wall_codim(K3, (1, 0), (2, 3)) is None
         assert strictly_semistable_wall_codim(K3, (1, 0), (3, 3)) == 2
 
-    @given(
-        st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any),
-        st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
-    )
-    @settings(max_examples=40)
-    def test_matches_direct_minimum(self, d, theta):
+    def test_wrong_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            strictly_semistable_wall_codim(K3, (1, 0, 0), (1, 0, 0))
+
+    @given(quiver_inputs())
+    @settings(max_examples=150)
+    def test_matches_direct_minimum(self, inp):
+        q, theta, d = inp
         codims = [
-            -euler_form(K3, e, f)
+            -euler_form(q, e, f)
             for e, f in enumerate_decompositions(d)
             if slope(theta, e) == slope(theta, f)
         ]
         expected = min(codims) if codims else None
-        assert strictly_semistable_wall_codim(K3, theta, d) == expected
+        assert strictly_semistable_wall_codim(q, theta, d) == expected
 
 
 class TestBrauerPrediction:
@@ -180,6 +206,10 @@ class TestBrauerPrediction:
         assert predict_brauer(K3, (1, 0), (2, 3)).order == 1
         assert predict_brauer(K3, (1, 0), (2, 3)).status == "theorem"
         assert predict_brauer(loop_quiver(2), (0,), (3,)).status == "theorem"
+
+    def test_wrong_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            predict_brauer(K3, (1, 0, 0), (1, 0, 0))
 
     def test_conjectural_case(self):
         p = predict_brauer(kronecker_quiver(2), (1, 0), (2, 2))
