@@ -3,7 +3,8 @@
 Output is tab-separated, one record per line, deterministic across runs.
 Exact rationals print as `p/q` (bare integer when the denominator is 1) and
 parse back identically. Exit codes: 0 success, 1 verification mismatch in the
-verify subcommands, 2 usage or domain error.
+verify subcommands, 2 usage or domain error, 3 internal invariant failure (an
+exact self-check such as the conic witness verification failed; a bug).
 """
 from __future__ import annotations
 
@@ -391,6 +392,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (RuntimeError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -377,8 +377,9 @@ def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
     as integers: residues over GF(p); over Q, the constants times the lcm of
     their denominators, which keeps rank and kernel. Over GF(p) one elimination
     decides. Over Q, full rank modulo a prime certifies bijectivity, and a
-    kernel vector CRT-accumulated over the primes, rationally reconstructed and
-    zero under the exact matrix certifies a deficit; else Fraction rank decides.
+    kernel vector CRT-accumulated over the primes that share the latest free
+    column seen, rationally reconstructed and zero under the exact matrix
+    certifies a deficit; else Fraction rank decides.
     """
     import numpy as np
 
@@ -396,12 +397,21 @@ def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
     c = np.array(flat, dtype=object).reshape(d, d, d)
     if char:
         return _echelon_mod_p(_envelope(c, char), char)[0] == n
-    exact, modulus, acc = None, 1, [0] * n
+    exact, modulus, acc, free = None, 1, [0] * n, None
     for p in _AZUMAYA_PRIMES:
         r, vec = _echelon_mod_p(_envelope(c, p), p)
         if r == n:
             return True
         exact = _envelope(c) if exact is None else exact
+        # vec is 1 at its free column and 0 after it. That column is at most
+        # the one over Q, with equality exactly at the primes whose kernel
+        # vector is the rational one reduced mod p; so a smaller column marks
+        # p as bad, and a larger one marks the primes accumulated so far.
+        col = max(i for i, x in enumerate(vec) if x)
+        if free is not None and col < free:
+            continue
+        if col != free:
+            modulus, acc, free = 1, [0] * n, col
         inv = pow(modulus, -1, p)
         acc = [a + modulus * ((v - a) * inv % p) for a, v in zip(acc, vec)]
         modulus *= p

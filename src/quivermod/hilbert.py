@@ -4,10 +4,15 @@ Places are odd primes, 2, and the real place (the string "real"). The symbol
 (u, v) at a place is +1 when z^2 = u x^2 + v y^2 has a nontrivial local
 solution, -1 otherwise; the quaternion algebra (u, v) splits exactly when all
 local symbols are +1, and in that case the norm-form conic has a rational
-point. Witness points are produced by Legendre descent to a reduced diagonal
-form followed by exhaustive search inside the Holzer height bound, so a failed
-search on a locally solvable form is an internal contradiction, not an
-inconclusive answer.
+point. Witness points come from the reduced diagonal form a x^2 + b y^2 + c z^2
+(squarefree, pairwise coprime) by lattice reduction, after Cremona and Rusin
+(Math. Comp. 72, 2003) and D. Simon (Math. Comp. 74, 2005): the index-|abc|
+lattice on which the form vanishes mod abc is LLL-reduced in integers, and a
+zero is a reduced basis vector or a small combination found in a search
+bounded by Cassels' small-zero bound. Apart from factoring the coefficients
+(bounded by linalg.factor), every step is polynomial in their size, and a
+failure on a locally solvable form is an internal contradiction
+(RuntimeError), not an inconclusive answer.
 """
 from __future__ import annotations
 
@@ -121,78 +126,206 @@ class ConicPointResult:
     witness: Optional[tuple[int, int, int]]
 
 
-def _squarefree_decompose(n: int) -> tuple[int, int]:
-    """(s, n0) with n = s^2 n0 and n0 squarefree."""
-    s = math.prod(p ** (e // 2) for p, e in factor(n).items())
-    return s, n // (s * s)
-
-
 def _legendre_reduce(a: int, b: int, c: int):
     """Reduce diag(a,b,c) to squarefree pairwise coprime coefficients.
 
-    Returns (a', b', c', m) where the diagonal map x_i -> m[i] x_i takes
-    solutions of the reduced form to solutions of diag(a,b,c) x^2 = 0.
+    Returns (a', b', c', m, primes): the diagonal map x_i -> m[i] x_i (m
+    integral) takes solutions of the reduced form to solutions of
+    diag(a,b,c) x^2 = 0, and primes[i] lists the primes of the i-th reduced
+    coefficient in increasing order. Each input is factored once. Per prime p:
+    the power common to all three divides the form; a remaining p^(2k) in one
+    coefficient is absorbed by scaling the other two variables by p^k; and p
+    left in two coefficients moves to the third (scale its variable by p, then
+    divide the form by p).
     """
-    m = [Fraction(1)] * 3
-    while True:
-        g = math.gcd(a, math.gcd(b, c))
-        if g > 1:
-            a, b, c = a // g, b // g, c // g
-            continue
-        sa, a0 = _squarefree_decompose(a)
-        if sa > 1:
-            a = a0
-            m[0] /= sa
-            continue
-        sb, b0 = _squarefree_decompose(b)
-        if sb > 1:
-            b = b0
-            m[1] /= sb
-            continue
-        sc, c0 = _squarefree_decompose(c)
-        if sc > 1:
-            c = c0
-            m[2] /= sc
-            continue
-        g = math.gcd(a, b)
-        if g > 1:
-            a, b, c = a // g, b // g, c * g
-            m[2] *= g
-            continue
-        g = math.gcd(a, c)
-        if g > 1:
-            a, b, c = a // g, b * g, c // g
-            m[1] *= g
-            continue
-        g = math.gcd(b, c)
-        if g > 1:
-            a, b, c = a * g, b // g, c // g
-            m[0] *= g
-            continue
-        return a, b, c, m
+    coeffs = [1 if x > 0 else -1 for x in (a, b, c)]
+    m = [1, 1, 1]
+    primes: tuple[list[int], ...] = ([], [], [])
+    facs = [factor(x) for x in (a, b, c)]
+    for p in sorted(facs[0].keys() | facs[1].keys() | facs[2].keys()):
+        e = [f.get(p, 0) for f in facs]
+        low = min(e)
+        halves = [p ** ((ei - low) // 2) for ei in e]
+        m = [mi * math.prod(halves) // h for mi, h in zip(m, halves)]
+        odd = [i for i in range(3) if (e[i] - low) % 2]
+        if len(odd) == 2:
+            (i,) = {0, 1, 2} - set(odd)
+            m[i] *= p
+            odd = [i]
+        for i in odd:
+            coeffs[i] *= p
+            primes[i].append(p)
+    return (*coeffs, m, tuple(tuple(ps) for ps in primes))
 
 
-def _holzer_search(a: int, b: int, c: int) -> Optional[tuple[int, int, int]]:
-    """Nontrivial solution of a x^2 + b y^2 + c z^2 = 0 inside the Holzer bound.
+def _crt(r: int, m: int, s: int, n: int) -> int:
+    """x mod m n with x = r (mod m) and x = s (mod n), for coprime m, n >= 1."""
+    return (r + m * ((s - r) * pow(m, -1, n))) % (m * n)
 
-    Requires a, b, c squarefree and pairwise coprime. Signs of solutions are
-    free (only squares appear), so the grid is restricted to x, y >= 0.
+
+def _sqrt_mod(r: int, p: int) -> int:
+    """A square root of r modulo the prime p, by Tonelli-Shanks.
+
+    A non-residue raises RuntimeError: the callers only ask for roots that the
+    local decision has already promised.
     """
-    x_max = math.isqrt(abs(b * c)) + 1
-    y_max = math.isqrt(abs(a * c)) + 1
-    for x in range(x_max + 1):
-        axx = a * x * x
-        for y in range(y_max + 1):
-            if x == 0 and y == 0:
+    r %= p
+    if p == 2 or r == 0:
+        return r
+    if pow(r, (p - 1) // 2, p) != 1:
+        raise RuntimeError(f"{r} is not a square modulo {p} on a locally solvable conic")
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    c, t, x = pow(z, q, p), pow(r, q, p), pow(r, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        f = pow(c, 1 << (s - i - 1), p)
+        s, c, t, x = i, f * f % p, t * f * f % p, x * f % p
+    return x
+
+
+def _root_mod(u: int, v: int, primes: tuple[int, ...]) -> int:
+    """t modulo the product of primes with u t^2 + v = 0 modulo each of them."""
+    t, mod = 0, 1
+    for p in primes:
+        t, mod = _crt(t, mod, _sqrt_mod(-v * pow(u, -1, p), p), p), mod * p
+    return t
+
+
+def _lll(basis: list[list[int]], dot) -> list[list[int]]:
+    """LLL-reduce (constant 3/4) a basis under a positive definite integral
+    inner product, in integers only: Cohen, A Course in Computational Algebraic
+    Number Theory, Alg. 2.6.7, with d_i the Gram determinants of the first i
+    vectors and lam[k][j] = d_j mu_kj. Every division below is exact."""
+    n = len(basis)
+    b = [None] + [list(v) for v in basis]
+    d = [1, dot(b[1], b[1])] + [0] * (n - 1)
+    lam = [[0] * (n + 1) for _ in range(n + 1)]
+
+    def red(k: int, l: int) -> None:
+        if 2 * abs(lam[k][l]) > d[l]:
+            q = (2 * lam[k][l] + d[l]) // (2 * d[l])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l]
+            for i in range(1, l):
+                lam[k][i] -= q * lam[l][i]
+
+    k, kmax = 2, 1
+    while k <= n:
+        if k > kmax:
+            kmax = k
+            for j in range(1, k + 1):
+                u = dot(b[k], b[j])
+                for i in range(1, j):
+                    u = (d[i] * u - lam[k][i] * lam[j][i]) // d[i - 1]
+                if j < k:
+                    lam[k][j] = u
+                else:
+                    d[k] = u
+        red(k, k - 1)
+        if 4 * d[k] * d[k - 2] < 3 * d[k - 1] ** 2 - 4 * lam[k][k - 1] ** 2:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            for j in range(1, k - 1):
+                lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+            mu = lam[k][k - 1]
+            big = (d[k - 2] * d[k] + mu * mu) // d[k - 1]
+            for i in range(k + 1, kmax + 1):
+                t = lam[i][k]
+                lam[i][k] = (d[k] * lam[i][k - 1] - mu * t) // d[k - 1]
+                lam[i][k - 1] = (big * t + mu * lam[i][k]) // d[k]
+            d[k - 1] = big
+            k = max(2, k - 1)
+        else:
+            for l in range(k - 2, 0, -1):
+                red(k, l)
+            k += 1
+    return b[1:]
+
+
+def _reduced_lattice(
+    a: int, b: int, c: int, primes: tuple[tuple[int, ...], ...]
+) -> tuple[list[list[int]], list[list[int]]]:
+    """LLL basis of the lattice on which Q = a x^2 + b y^2 + c z^2 is 0 mod abc,
+    and the Gram matrix G' of Q / abc on that basis.
+
+    a, b, c are squarefree and pairwise coprime, primes[i] lists the primes of
+    the i-th one, and the conic is locally solvable. With roots alpha, beta,
+    delta of a t^2 + b (mod c), b t^2 + c (mod a) and a t^2 + c (mod b), the
+    lattice is {x = alpha y (c), y = beta z (a), x = delta z (b)}; the last
+    condition is z = gamma x (b) for gamma = 1/delta, a root of c t^2 + a. It
+    has index |abc|, and Q(u, v) = 0 mod abc on it, so G' is integral with
+    det G' = +-1. Reduction is with respect to N = |a| x^2 + |b| y^2 + |c| z^2.
+    """
+    alpha = _root_mod(a, b, primes[2])
+    beta = _root_mod(b, c, primes[0])
+    delta = _root_mod(a, c, primes[1])
+    ab, bb, cb = abs(a), abs(b), abs(c)
+    basis = [
+        [bb * cb, 0, 0],
+        [_crt(alpha * a % cb, cb, 0, bb), a, 0],
+        [_crt(alpha * beta % cb, cb, delta, bb), beta, 1],
+    ]
+    basis = _lll(basis, lambda u, v: ab * u[0] * v[0] + bb * u[1] * v[1] + cb * u[2] * v[2])
+    abc = a * b * c
+    gram = [
+        [(a * u[0] * v[0] + b * u[1] * v[1] + c * u[2] * v[2]) // abc for v in basis]
+        for u in basis
+    ]
+    return basis, gram
+
+
+def _small_zero(g: list[list[int]]) -> tuple[int, int, int]:
+    """A nonzero integral zero t of sum g_ij t_i t_j, for an isotropic integral
+    symmetric g with g_22 != 0.
+
+    Cassels (Proc. Cambridge Philos. Soc. 51, 1955) gives an isotropic form in
+    n variables a zero with max |t_i| <= (3 H)^((n - 1) / 2), H = sum |g_ij|:
+    3 H for n = 3. On the reduced lattice |g_ij| <= 8, so 3 H <= 216. Shells of growing max(|t_0|, |t_1|) up to 3 H are walked, one
+    representative of +-(t_0, t_1) each, and t_2 is solved from
+    g_22 t_2^2 + 2 h t_2 + k = 0; a zero with t_0 = t_1 = 0 would need g_22 = 0.
+    Reaching the end contradicts the isotropy promised by the local decision.
+    """
+    bound = 3 * sum(abs(x) for row in g for x in row)
+    g22 = g[2][2]
+    for r in range(1, bound + 1):
+        for t0, t1 in [(r, s) for s in range(-r, r + 1)] + [(s, r) for s in range(1 - r, r)]:
+            h = g[0][2] * t0 + g[1][2] * t1
+            k = g[0][0] * t0 * t0 + 2 * g[0][1] * t0 * t1 + g[1][1] * t1 * t1
+            disc = h * h - g22 * k
+            if disc < 0:
                 continue
-            t = -(axx + b * y * y)
-            q, r = divmod(t, c)
-            if r != 0 or q < 0:
+            root = math.isqrt(disc)
+            if root * root != disc:
                 continue
-            z = math.isqrt(q)
-            if z * z == q:
-                return (x, y, z)
-    return None
+            for num in (root - h, -root - h):
+                if num % g22 == 0:
+                    return t0, t1, num // g22
+    raise RuntimeError("isotropic unimodular form with no zero inside Cassels' bound")
+
+
+def _lattice_zero(
+    a: int, b: int, c: int, primes: tuple[tuple[int, ...], ...]
+) -> tuple[int, int, int]:
+    """Nonzero solution of a x^2 + b y^2 + c z^2 = 0 (reduced, locally solvable).
+
+    After LLL, prod N(b_i) <= 8 |abc|^3, and |Q(v)| <= N(v). If no basis
+    vector is a zero, each Q(b_i) is a nonzero multiple of abc, so
+    |abc| <= N(b_i); then each N(b_i) <= 8 |abc|, Cauchy-Schwarz gives
+    |Q(b_i, b_j)| <= 8 |abc|, i.e. |G'_ij| <= 8, and the zero comes from the
+    bounded search of _small_zero.
+    """
+    basis, g = _reduced_lattice(a, b, c, primes)
+    for i, v in enumerate(basis):
+        if g[i][i] == 0:
+            return tuple(v)
+    t = _small_zero(g)
+    return tuple(sum(ti * v[k] for ti, v in zip(t, basis)) for k in range(3))
 
 
 def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
@@ -200,9 +333,13 @@ def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
 
     The decision is local: diagonalize to <alpha, beta, gamma> and check the
     symbol (-alpha gamma, -beta gamma) at the relevant places. When solvable,
-    the witness comes from Legendre descent plus a Holzer-bounded search and is
-    verified exactly against the input conic; failure of that search raises
-    RuntimeError since it would contradict the local decision.
+    the witness comes from the reduced diagonal form by lattice reduction
+    (Cremona and Rusin, Math. Comp. 72, 2003; D. Simon, Math. Comp. 74, 2005):
+    the lattice where the form vanishes mod abc is LLL-reduced, and a zero is
+    read off a basis vector or found in a search bounded by Cassels' small-zero
+    bound. The witness is verified exactly against the input conic; a failure
+    anywhere on this path raises RuntimeError or AssertionError, since it would
+    contradict the local decision.
     """
     if not conic.is_nondegenerate:
         raise ValueError("conic is degenerate")
@@ -212,12 +349,8 @@ def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
     solvable = quaternion_is_split(QuaternionAlgebra(-alpha * gamma, -beta * gamma))
     if not solvable:
         return ConicPointResult(False, None)
-    a, b, c, m = _legendre_reduce(*clear_denominators(coeffs))
-    found = _holzer_search(a, b, c)
-    if found is None:
-        raise RuntimeError(
-            "locally solvable conic with no witness inside the Holzer bound"
-        )
+    a, b, c, m, primes = _legendre_reduce(*clear_denominators(coeffs))
+    found = _lattice_zero(a, b, c, primes)
     witness = primitive_int_vector(mat_vec(p_mat, [mi * t for mi, t in zip(m, found)]))
     if all(t == 0 for t in witness) or conic.evaluate(*witness) != 0:
         raise AssertionError("witness verification failed")

@@ -17,7 +17,6 @@ from .quiver import (
     Quiver,
     _check_dim,
     _euler,
-    euler_form,
     gcd_of,
     kronecker_quiver,
     loop_quiver,
@@ -155,9 +154,9 @@ def hn_types(
 
 def hn_codimension(q: Quiver, t: HNType) -> int:
     """Codimension of the stratum with type t: -sum over ordered pairs k < l of <d^k, d^l>."""
-    parts = t.parts
+    parts = [_check_dim(q, part) for part in t.parts]
     return -sum(
-        euler_form(q, parts[k], parts[l])
+        _euler(q, parts[k], parts[l])
         for k in range(len(parts))
         for l in range(k + 1, len(parts))
     )

@@ -204,7 +204,7 @@ class TestAlgebraCommands:
     def test_conic_solvable(self, capsys):
         code, out, _ = run(capsys, ["conic", "--", "1", "1", "-1", "0", "0", "0"])
         assert code == 0
-        assert out == ["solvable\ttrue", "witness\t0\t1\t1"]
+        assert out == ["solvable\ttrue", "witness\t1\t0\t1"]
 
     def test_conic_unsolvable(self, capsys):
         code, out, _ = run(capsys, ["conic", "--", "1", "1", "-3", "0", "0", "0"])
@@ -264,6 +264,16 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["weights", "--d", "2,4"])
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("exc", [RuntimeError("no zero"), AssertionError("bad witness")])
+    def test_internal_failure_exits_three(self, capsys, monkeypatch, exc):
+        def broken(conic):
+            raise exc
+
+        monkeypatch.setattr("quivermod.cli.conic_has_rational_point", broken)
+        code, out, err = run(capsys, ["conic", "--", "1", "1", "-1", "0", "0", "0"])
+        assert code == 3
+        assert out == [] and err == f"internal error: {exc}\n"
 
     def test_degenerate_conic_domain_error(self, capsys):
         code, _, err = run(capsys, ["conic", "1", "0", "0", "0", "0", "0"])

@@ -414,6 +414,30 @@ class TestAzumaya:
         assert not is_azumaya_over_field(even)
         assert calls == {"envelope": [101, None, 103], "rank": 0}
 
+    @pytest.mark.parametrize("b", [
+        [[1, 0, 0], [0, 3, 0], [0, 0, 0]],
+        [[3, 0, 0], [0, 3, 0], [0, 0, 0]],
+    ])
+    def test_certificate_kernel_after_bad_first_prime(self, monkeypatch, b):
+        # modulo 3 the form loses a further rank, so the first kernel vector
+        # has an earlier free column; the accumulation restarts at 101
+        even = build_clifford(QuadraticFormB(b)).even_part()
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (3, 101, 103))
+        assert not is_azumaya_over_field(even)
+        assert calls == {"envelope": [3, None, 101], "rank": 0}
+
+    def test_certificate_kernel_skips_bad_middle_prime(self, monkeypatch):
+        # kernel entries in ninths need 101 * 103; the bad prime 3 between
+        # them is skipped instead of spoiling the accumulation
+        b = [[1, -2, -2, -1, 2], [-2, -1, 1, 2, 1], [-2, 1, 2, 2, 1], [-1, 2, 2, 2, -1],
+             [2, 1, 1, -1, 1]]
+        even = build_clifford(QuadraticFormB(b)).even_part()
+        calls = self.spy(monkeypatch)
+        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (101, 3, 103))
+        assert not is_azumaya_over_field(even)
+        assert calls == {"envelope": [101, None, 3, 103], "rank": 0}
+
     def test_certificate_exact_fallback(self, monkeypatch):
         # 3 divides the discriminant, so the only prime sees a rank deficit
         # that no rational kernel vector explains

@@ -1,15 +1,21 @@
 import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
+from conic_oracle import holzer_search, squarefree_decompose
 from hypothesis import assume, given, settings, strategies as st
 
 from quivermod.clifford import QuaternionAlgebra, form_from_conic
 from quivermod.hilbert import (
     REAL_PLACE,
-    _holzer_search,
+    _lattice_zero,
     _legendre_reduce,
-    _squarefree_decompose,
+    _lll,
+    _reduced_lattice,
+    _small_zero,
+    _sqrt_mod,
     clifford_invariant_of_model_point,
     conic_has_rational_point,
     hilbert_symbol,
@@ -17,6 +23,7 @@ from quivermod.hilbert import (
     relevant_places,
     symbol_profile,
 )
+from quivermod.linalg import factor
 from quivermod.models import ConicFiber, K3Point, L2Point, l2_conic
 
 PLACES = (REAL_PLACE, 2, 3, 5, 7)
@@ -112,8 +119,8 @@ class TestHilbertSymbol:
             for v in units[:3] + divisible[:2]:
                 pairs.append((u, v))
         for u, v in pairs:
-            u0 = _squarefree_decompose(u)[1]
-            v0 = _squarefree_decompose(v)[1]
+            u0 = squarefree_decompose(u)[1]
+            v0 = squarefree_decompose(v)[1]
             expected = brute_local_solvable(u0, v0, p)
             assert (hilbert_symbol(u, v, p) == 1) == expected, (u, v, p)
 
@@ -183,7 +190,7 @@ class TestConicPoints:
     def test_pythagorean(self):
         result = conic_has_rational_point(diag_conic(1, 1, -1))
         assert result.solvable
-        assert result.witness == (0, 1, 1)
+        assert result.witness == (1, 0, 1)
 
     def test_unsolvable_at_three(self):
         result = conic_has_rational_point(diag_conic(1, 1, -3))
@@ -200,8 +207,9 @@ class TestConicPoints:
         )
         result = conic_has_rational_point(conic)
         assert result.solvable
-        assert result.witness == (0, 0, 1)
+        assert result.witness == (1, -1, -1)
         assert conic.evaluate(*result.witness) == 0
+        assert math.gcd(*result.witness) == 1
         # (1, 0, 0) is another obvious zero of -2y^2 - 2xz
         assert conic.evaluate(1, 0, 0) == 0
 
@@ -226,18 +234,19 @@ class TestConicPoints:
             assert conic.evaluate(x, y, z) == 0
             assert math.gcd(x, math.gcd(y, z)) == 1
         else:
-            a, b, c, _ = _legendre_reduce(u, v, -1)
-            assert _holzer_search(a, b, c) is None
+            a, b, c, _, _ = _legendre_reduce(u, v, -1)
+            assert holzer_search(a, b, c) is None
 
     @given(st.integers(-40, 40).filter(lambda x: x != 0),
            st.integers(-40, 40).filter(lambda x: x != 0),
            st.integers(-40, 40).filter(lambda x: x != 0))
     @settings(max_examples=80)
     def test_legendre_reduce_postconditions(self, a, b, c):
-        ra, rb, rc, m = _legendre_reduce(a, b, c)
-        for x in (ra, rb, rc):
+        ra, rb, rc, m, primes = _legendre_reduce(a, b, c)
+        for x, ps in zip((ra, rb, rc), primes):
             assert x != 0
-            assert _squarefree_decompose(x)[0] == 1
+            assert squarefree_decompose(x)[0] == 1
+            assert ps == tuple(sorted(factor(x)))
         assert math.gcd(ra, rb) == 1
         assert math.gcd(ra, rc) == 1
         assert math.gcd(rb, rc) == 1
@@ -254,10 +263,173 @@ class TestConicPoints:
                 assert o1 * r2 == o2 * r1
 
     def test_squarefree_decompose(self):
-        assert _squarefree_decompose(72) == (6, 2)
-        assert _squarefree_decompose(-18) == (3, -2)
-        assert _squarefree_decompose(1) == (1, 1)
-        assert _squarefree_decompose(7) == (1, 7)
+        assert squarefree_decompose(72) == (6, 2)
+        assert squarefree_decompose(-18) == (3, -2)
+        assert squarefree_decompose(1) == (1, 1)
+        assert squarefree_decompose(7) == (1, 7)
+
+
+def _reduced(a, b, c):
+    """The squarefree coprime triple of diag(a, b, c), its primes, and the
+    local verdict."""
+    ra, rb, rc, _, primes = _legendre_reduce(a, b, c)
+    split = quaternion_is_split(QuaternionAlgebra(Fraction(-ra * rc), Fraction(-rb * rc)))
+    return ra, rb, rc, primes, split
+
+
+def _five_digit_primes():
+    return [p for p in range(10007, 100000, 2) if factor(p) == {p: 1}]
+
+
+class TestLatticeSolver:
+    nonzero_100 = st.integers(-100, 100).filter(lambda x: x != 0)
+
+    @given(nonzero_100, nonzero_100, nonzero_100)
+    @settings(max_examples=300, deadline=None)
+    def test_agrees_with_holzer_oracle(self, a, b, c):
+        ra, rb, rc, primes, split = _reduced(a, b, c)
+        assert (holzer_search(ra, rb, rc) is not None) == split
+        result = conic_has_rational_point(diag_conic(a, b, c))
+        assert result.solvable == split
+        if split:
+            x, y, z = result.witness
+            assert a * x * x + b * y * y + c * z * z == 0
+            assert math.gcd(x, math.gcd(y, z)) == 1
+
+    def test_random_rational_conics_match_symbol_decision(self):
+        rng = random.Random(20031)
+        checked = 0
+        while checked < 2000:
+            conic = ConicFiber(*(
+                Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 9)))
+                for _ in range(6)
+            ))
+            if not conic.is_nondegenerate:
+                continue
+            checked += 1
+            (al, be, ga), _ = form_from_conic(conic).diagonalize()
+            split = quaternion_is_split(QuaternionAlgebra(-al * ga, -be * ga))
+            result = conic_has_rational_point(conic)
+            assert result.solvable == split, conic
+            if split:
+                assert conic.evaluate(*result.witness) == 0
+                assert math.gcd(*result.witness) == 1
+
+    @given(nonzero_100, nonzero_100, st.integers(0, 12), st.integers(0, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_reduced_gram_is_unimodular_and_small(self, a, b, x, y):
+        # (x, y, 1) is a zero of a x^2 + b y^2 + c z^2, so the form is solvable
+        c = -(a * x * x + b * y * y)
+        assume(c != 0)
+        ra, rb, rc, primes, split = _reduced(a, b, c)
+        assert split
+        basis, g = _reduced_lattice(ra, rb, rc, primes)
+        abc = ra * rb * rc
+        for u, row in zip(basis, g):
+            for v, gij in zip(basis, row):
+                assert ra * u[0] * v[0] + rb * u[1] * v[1] + rc * u[2] * v[2] == gij * abc
+        assert abs(
+            g[0][0] * (g[1][1] * g[2][2] - g[1][2] * g[2][1])
+            - g[0][1] * (g[1][0] * g[2][2] - g[1][2] * g[2][0])
+            + g[0][2] * (g[1][0] * g[2][1] - g[1][1] * g[2][0])
+        ) == 1
+        if all(g[i][i] != 0 for i in range(3)):
+            assert max(abs(x) for row in g for x in row) <= 8
+
+    def test_gram_bound_on_five_digit_primes(self):
+        rng = random.Random(5)
+        primes = _five_digit_primes()
+        seen = 0
+        while seen < 20:
+            a, b, c = (p * rng.choice((-1, 1)) for p in rng.sample(primes, 3))
+            ra, rb, rc, ps, split = _reduced(a, b, c)
+            if not split:
+                continue
+            seen += 1
+            _, g = _reduced_lattice(ra, rb, rc, ps)
+            assert max(abs(x) for row in g for x in row) <= 8
+
+    def test_lll_output_is_reduced(self):
+        weights = (3, 5, 7)
+
+        def dot(u, v):
+            return sum(w * x * y for w, x, y in zip(weights, u, v))
+
+        basis = _lll([[105, 0, 0], [40, 3, 0], [71, 2, 1]], dot)
+        # same lattice: unimodular change of basis (determinant preserved)
+        (a, b, c), (d, e, f), (g, h, i) = basis
+        assert abs(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) == 315
+        star, mu = [], {}
+        for k, v in enumerate(basis):
+            w = [Fraction(x) for x in v]
+            for j in range(k):
+                mu[k, j] = Fraction(dot(v, star[j])) / dot(star[j], star[j])
+                w = [x - mu[k, j] * y for x, y in zip(w, star[j])]
+            star.append(w)
+        for (k, j), m in mu.items():
+            assert abs(m) <= Fraction(1, 2)
+        for k in range(1, 3):
+            lhs = dot(star[k], star[k])
+            rhs = (Fraction(3, 4) - mu[k, k - 1] ** 2) * dot(star[k - 1], star[k - 1])
+            assert lhs >= rhs
+
+    def test_sqrt_mod(self):
+        for p in (2, 3, 5, 13, 17, 97, 10009, 65537):
+            for r in range(1, min(p, 200)):
+                if p == 2 or pow(r, (p - 1) // 2, p) == 1:
+                    assert _sqrt_mod(r, p) ** 2 % p == r
+        with pytest.raises(RuntimeError):
+            _sqrt_mod(2, 5)
+
+    def test_small_zero_is_bounded_on_anisotropic_input(self):
+        # x^2 + y^2 + z^2 has no zero: the search stops at Cassels' bound
+        with pytest.raises(RuntimeError, match="Cassels"):
+            _small_zero([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+    @pytest.mark.parametrize("g", [
+        [[1, 0, 0], [0, 1, 0], [0, 0, -1]],
+        # the first zeros, (4, 3, 1) and (3, 4, 1), lie in shell 4
+        [[1, 0, 0], [0, 1, 0], [0, 0, -25]],
+        # the zero (1, 0, 1) comes from the second root of the quadratic in t_2
+        [[1, 0, 2], [0, 1, 0], [2, 0, -5]],
+    ])
+    def test_small_zero_comes_from_the_first_shell(self, g):
+        def value(t):
+            return sum(g[i][j] * t[i] * t[j] for i in range(3) for j in range(3))
+
+        t = _small_zero(g)
+        assert value(t) == 0 and any(t)
+        first = min(
+            max(abs(t0), abs(t1))
+            for t0 in range(-6, 7) for t1 in range(-6, 7) for t2 in range(-60, 61)
+            if (t0, t1) != (0, 0) and value((t0, t1, t2)) == 0
+        )
+        assert max(abs(t[0]), abs(t[1])) == first
+
+    def test_lattice_zero_five_digit(self):
+        z = _lattice_zero(9973, 9511, -6737, ((9973,), (9511,), (6737,)))
+        assert 9973 * z[0] ** 2 + 9511 * z[1] ** 2 - 6737 * z[2] ** 2 == 0 and any(z)
+
+    def test_timing_regression(self):
+        conics = [
+            ConicFiber(*(Fraction(x) for x in c)) for c in (
+                ("-25", "-47/9", "-17/9", "-27/4", "46/9", "-20/3"),
+                ("29/6", "52/3", "29/3", "27", "47/4", "-43/4"),
+                ("9973", "9511", "-6737", "0", "0", "0"),
+            )
+        ]
+        rng = random.Random(11)
+        primes = _five_digit_primes()
+        while len(conics) < 23:
+            a, b, c = (p * rng.choice((-1, 1)) for p in rng.sample(primes, 3))
+            if quaternion_is_split(QuaternionAlgebra(Fraction(-a * c), Fraction(-b * c))):
+                conics.append(diag_conic(a, b, c))
+        start = time.perf_counter()
+        for conic in conics:
+            result = conic_has_rational_point(conic)
+            assert result.solvable
+            assert conic.evaluate(*result.witness) == 0
+        assert time.perf_counter() - start < 2.0
 
 
 class TestModelPointInvariant:
