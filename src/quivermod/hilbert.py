@@ -331,9 +331,11 @@ def _lattice_zero(
 def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
     """Decide solvability of the plane conic and produce a primitive witness.
 
-    The decision is local: diagonalize to <alpha, beta, gamma> and check the
-    symbol (-alpha gamma, -beta gamma) at the relevant places. When solvable,
-    the witness comes from the reduced diagonal form by lattice reduction
+    The decision is local: diagonalize, clear denominators and reduce to the
+    squarefree, pairwise coprime <a, b, c> (each coefficient factored once),
+    then check the symbol (-a c, -b c) at the real place, 2 and the primes of
+    a, b and c; it is +1 everywhere else. When solvable, the witness comes
+    from the same reduced form by lattice reduction
     (Cremona and Rusin, Math. Comp. 72, 2003; D. Simon, Math. Comp. 74, 2005):
     the lattice where the form vanishes mod abc is LLL-reduced, and a zero is
     read off a basis vector or found in a search bounded by Cassels' small-zero
@@ -345,11 +347,10 @@ def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
         raise ValueError("conic is degenerate")
     form = form_from_conic(conic)
     coeffs, p_mat = form.diagonalize()
-    alpha, beta, gamma = coeffs
-    solvable = quaternion_is_split(QuaternionAlgebra(-alpha * gamma, -beta * gamma))
-    if not solvable:
-        return ConicPointResult(False, None)
     a, b, c, m, primes = _legendre_reduce(*clear_denominators(coeffs))
+    places = (REAL_PLACE, 2, *primes[0], *primes[1], *primes[2])
+    if any(_local_symbol(-a * c, -b * c, place) != 1 for place in places):
+        return ConicPointResult(False, None)
     found = _lattice_zero(a, b, c, primes)
     witness = primitive_int_vector(mat_vec(p_mat, [mi * t for mi, t in zip(m, found)]))
     if all(t == 0 for t in witness) or conic.evaluate(*witness) != 0:

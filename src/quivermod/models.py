@@ -312,8 +312,9 @@ def binary_forms_common_root(forms: Sequence[tuple[Fraction, ...]]) -> bool:
     homogenization of its dehomogenized polynomial; the forms share a root iff
     either all are divisible by t (common root at infinity) or the univariate
     gcd of their dehomogenizations is nonconstant. Zero forms impose nothing.
+    Coefficients are taken as Fractions, so the gcd is exact for int input too.
     """
-    nonzero = [f for f in forms if any(c != 0 for c in f)]
+    nonzero = [tuple(map(Fraction, f)) for f in forms if any(c != 0 for c in f)]
     if not nonzero:
         return True
     # root at infinity (1 : 0) iff every s^2 coefficient vanishes

@@ -175,7 +175,7 @@ def _bezout_min(g: int, di: int) -> tuple[int, int, int]:
     x, y = old_s, old_t
     step = g // g2
     if step:
-        k = round(y / step)
+        k = y // step
         best = min((y - kk * step for kk in (k - 1, k, k + 1)), key=lambda w: (abs(w), w <= 0))
         x = (g2 - best * di) // g
         y = best

@@ -9,8 +9,7 @@ has codimension at least 2 in the representation space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from typing import Callable, Iterator, Optional, Sequence
 
 from .quiver import (
@@ -20,7 +19,6 @@ from .quiver import (
     gcd_of,
     kronecker_quiver,
     loop_quiver,
-    slope,
 )
 
 DimVec = tuple[int, ...]
@@ -127,28 +125,26 @@ def hn_types(
         max_parts = sum(d)
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
-    zero = tuple(0 for _ in d)
     out: list[HNType] = []
 
-    def extend(prefix: list[DimVec], remaining: DimVec, prev_slope: Optional[Fraction]):
-        if remaining == zero:
-            out.append(HNType(tuple(prefix)))
-            return
-        if len(prefix) == max_parts:
-            return
-        for e in product(*(range(x + 1) for x in remaining)):
-            if e == zero:
-                continue
-            mu = slope(theta, e)
-            if prev_slope is not None and mu >= prev_slope:
+    def extend(prefix: tuple[DimVec, ...], remaining: DimVec, prev: tuple[int, int]) -> None:
+        # prev is (theta, size) of the last part, (1, 0) for slope +infinity. A proper
+        # part e needs sign > 0: the rest is a sum of parts with smaller slopes, so
+        # its slope, a mediant of theirs, is below slope(e). The whole of remaining
+        # comes last, as in product order, and closes the type (f is None).
+        splits = _slope_splits(theta, remaining) if len(prefix) + 1 < max_parts else ()
+        for e, f, sign in chain(splits, [(remaining, None, 1)]):
+            theta_e, size_e = sum(t * x for t, x in zip(theta, e)), sum(e)
+            if sign <= 0 or theta_e * prev[1] >= prev[0] * size_e:
                 continue
             if sst_filter is not None and not sst_filter(e):
                 continue
-            prefix.append(e)
-            extend(prefix, tuple(a - b for a, b in zip(remaining, e)), mu)
-            prefix.pop()
+            if f is None:
+                out.append(HNType(prefix + (e,)))
+            else:
+                extend(prefix + (e,), f, (theta_e, size_e))
 
-    extend([], d, None)
+    extend((), d, (1, 0))
     return out
 
 

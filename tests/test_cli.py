@@ -211,6 +211,16 @@ class TestAlgebraCommands:
         assert code == 0
         assert out == ["solvable\tfalse"]
 
+    def test_conic_seven_digit_primes(self, capsys):
+        code, out, _ = run(capsys, ["conic", "--", "8388617", "8389651", "-8390623", "0", "0", "0"])
+        assert code == 0
+        assert out == ["solvable\tfalse"]
+        code, out, _ = run(capsys, ["conic", "--", "8391623", "-8392619", "-8393629", "0", "0", "0"])
+        assert code == 0
+        assert out[0] == "solvable\ttrue"
+        x, y, z = map(int, out[1].split("\t")[1:])
+        assert 8391623 * x * x - 8392619 * y * y - 8393629 * z * z == 0 and (x, y, z) != (0, 0, 0)
+
     def test_hilbpoly(self, capsys):
         code, out, _ = run(capsys, ["hilbpoly", "--n", "1", "--t", "3"])
         assert code == 0

@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from conic_oracle import holzer_search, squarefree_decompose
 from hypothesis import assume, given, settings, strategies as st
+from sympy.ntheory import is_quad_residue
 
+import quivermod.hilbert as hilbert_module
 from quivermod.clifford import QuaternionAlgebra, form_from_conic
 from quivermod.hilbert import (
     REAL_PLACE,
@@ -430,6 +432,43 @@ class TestLatticeSolver:
             assert result.solvable
             assert conic.evaluate(*result.witness) == 0
         assert time.perf_counter() - start < 2.0
+
+    def test_factors_each_reduced_coefficient_once(self, monkeypatch):
+        calls = []
+        real_factor = hilbert_module.factor
+
+        def spy(n):
+            calls.append(n)
+            return real_factor(n)
+
+        monkeypatch.setattr(hilbert_module, "factor", spy)
+        rng = random.Random(8)
+        for _ in range(200):
+            coeffs = [Fraction(rng.randint(-60, 60), rng.choice((1, 2, 3, 4, 6, 9)))
+                      for _ in range(6)]
+            conic = ConicFiber(*coeffs)
+            if not conic.is_nondegenerate:
+                continue
+            calls.clear()
+            conic_has_rational_point(conic)
+            assert len(calls) <= 3
+
+    @pytest.mark.parametrize("a, b, c", [
+        (8388617, 8389651, -8390623),
+        (8391623, -8392619, -8393629),
+    ])
+    def test_seven_digit_primes_match_legendre(self, a, b, c):
+        # Legendre: squarefree, pairwise coprime, mixed signs; solvable iff
+        # -bc, -ca, -ab are squares modulo |a|, |b|, |c| respectively.
+        legendre = all(
+            is_quad_residue(-u * v, abs(w))
+            for u, v, w in ((b, c, a), (c, a, b), (a, b, c))
+        )
+        result = conic_has_rational_point(diag_conic(a, b, c))
+        assert result.solvable == legendre
+        if legendre:
+            x, y, z = result.witness
+            assert a * x * x + b * y * y + c * z * z == 0 and any(result.witness)
 
 
 class TestModelPointInvariant:

@@ -249,6 +249,18 @@ class TestBinaryFormRoots:
         # single irreducible form still has roots over the closure
         assert binary_forms_common_root([(Fraction(1), Fraction(0), Fraction(1))])
 
+    def test_int_coefficients_stay_exact(self):
+        # the gcd must stay exact on int input: in floats the first pair loops
+        # forever and the second misses the shared root (1 : 1)
+        assert not binary_forms_common_root([(8, -9, 3), (7, -5, 7)])
+        assert binary_forms_common_root([(6, 3, -9), (7, -1, -6)])
+
+    @given(st.lists(st.tuples(ints, ints, ints), min_size=1, max_size=3))
+    @settings(max_examples=300)
+    def test_int_and_fraction_input_agree(self, forms):
+        as_fractions = [tuple(Fraction(c) for c in f) for f in forms]
+        assert binary_forms_common_root(forms) == binary_forms_common_root(as_fractions)
+
 
 class TestConicFitting:
     def test_circle_through_five_points(self):

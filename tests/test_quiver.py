@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from quivermod.cli import main
 from quivermod.quiver import (
     Quiver,
+    _bezout_min,
     euler_form,
     framed_bundle_relative_dimension,
     gcd_of,
@@ -202,6 +203,13 @@ class TestLinearizationWeights:
             return
         w = linearization_weights(d)
         assert sum(a * b for a, b in zip(w, d)) == 1
+
+    @given(st.integers(1, 300), st.integers(0, 300))
+    def test_bezout_min_matches_brute_force(self, g, di):
+        g2 = gcd_of((g, di))
+        candidates = [y for y in range(-g, g + 1) if (g2 - y * di) % g == 0]
+        best = min(candidates, key=lambda y: (abs(y), y <= 0))
+        assert _bezout_min(g, di) == (g2, (g2 - best * di) // g, best)
 
 
 class TestDimensions:

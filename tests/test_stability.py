@@ -1,4 +1,5 @@
 import pytest
+from hn_oracle import hn_types as reference_hn_types
 from hypothesis import given, settings, strategies as st
 
 from quivermod.quiver import Quiver, euler_form, kronecker_quiver, loop_quiver, slope
@@ -168,6 +169,25 @@ class TestHNTypes:
             t for t in hn_types(K3, (1, 0), (2, 2)) if t.parts == ((1, 0), (1, 2))
         )
         assert hn_codimension(K3, t) == -euler_form(K3, (1, 0), (1, 2))
+
+    @given(
+        st.integers(1, 3).flatmap(lambda k: st.tuples(
+            st.lists(st.lists(st.integers(0, 2), min_size=k, max_size=k),
+                     min_size=k, max_size=k),
+            st.tuples(*[st.integers(-3, 3)] * k),
+            st.tuples(*[st.integers(0, 4)] * k).filter(any),
+        )),
+        st.sampled_from([None, 1, 2, 3]),
+        st.none() | st.integers(0, 2 ** 16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_product_walk_reference(self, inp, max_parts, salt):
+        rows, theta, d = inp
+        q = Quiver.from_matrix(rows)
+        # a deterministic filter that rejects about a third of the vectors
+        sst_filter = None if salt is None else (lambda e: hash((e, salt)) % 3 != 0)
+        got = hn_types(q, theta, d, max_parts, sst_filter)
+        assert got == reference_hn_types(q, theta, d, max_parts, sst_filter)
 
 
 class TestWall:
