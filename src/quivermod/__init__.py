@@ -66,6 +66,7 @@ from .clifford import (
     QuadraticFormB,
     QuaternionAlgebra,
     StructureConstantAlgebra,
+    azumaya_certificate,
     build_clifford,
     form_from_conic,
     hilbert_polynomial_quadric,

@@ -15,6 +15,7 @@ span of the even-cardinality subsets and has rank 2^(n+1).
 """
 from __future__ import annotations
 
+import copy
 import importlib.util
 import math
 import sys
@@ -269,21 +270,49 @@ class CliffordAlgebra:
     def even_masks(self) -> list[int]:
         return [m for m in range(self.dim) if bin(m).count("1") % 2 == 0]
 
+    def _lifted(self, lift) -> "CliffordAlgebra":
+        """This algebra with lift(x) for every generator scalar x and the int
+        unit: the same products, computed on the scalars lift returns."""
+        alg = copy.copy(self)
+        alg._sq = [lift(x) for x in self._sq]
+        alg._phi = [[lift(x) for x in row] for row in self._phi]
+        alg._one, alg._zero, alg._gen_products = 1, 0, {}
+        return alg
+
     def even_part(self) -> "StructureConstantAlgebra":
+        """The even subalgebra by its structure constants in the form's field.
+
+        Over GF(p), and over Q when every entry of b is an integer, the
+        products are computed on plain ints (GF(p) residues lifted to
+        (-p/2, p/2]) and turned into field scalars at the end. All zero
+        entries of the table are one shared object.
+        """
         masks = self.even_masks()
         index = {m: i for i, m in enumerate(masks)}
         d = len(masks)
-        zero = self._zero
-        table = [[None] * d for _ in range(d)]
-        for i, s in enumerate(masks):
-            for j, t in enumerate(masks):
+        zero, p = self._zero, self.q.char
+        alg = self
+        if p:
+            alg = self._lifted(lambda x: x.v - p if 2 * x.v > p else x.v)
+        elif all(x.denominator == 1 for row in self.q.b for x in row):
+            alg = self._lifted(int)
+        table = []
+        for s in masks:
+            cells = []
+            for t in masks:
                 row = [zero] * d
-                for m, c in self.mul_basis(s, t).items():
+                for m, c in alg.mul_basis(s, t).items():
+                    if p:
+                        c %= p
+                        if not c:
+                            continue
+                        c = GFElement(p, c)
+                    elif alg is not self:
+                        c = Fraction(c)
                     row[index[m]] = c
-                table[i][j] = tuple(row)
-        return StructureConstantAlgebra(
-            dim=d, table=tuple(tuple(r) for r in table), char=self.q.char
-        )
+                cells.append(tuple(row))
+            table.append(tuple(cells))
+        return StructureConstantAlgebra(dim=d, table=tuple(table), char=p)
 
 
 def build_clifford(q: QuadraticFormB) -> CliffordAlgebra:
@@ -302,32 +331,82 @@ class StructureConstantAlgebra:
 _AZUMAYA_PRIMES = (2147483629, 2147483587, 2147483563)
 
 
+def _matmul_mod(x, y, p: Optional[int] = None):
+    """x @ y for integer matrices with an inner dimension of at most 64.
+
+    With p = None the product is exact (Python ints). With a prime p < 2^31 it
+    is taken mod p in int64: y is split into 16-bit limbs, so every partial
+    sum stays below 2^31 * 2^16 * 64 = 2^53, where a plain product of
+    residues near 2^31 would overflow.
+    """
+    import numpy as np
+
+    if p is None:
+        return x @ y
+    x, y = (x % p).astype(np.int64), (y % p).astype(np.int64)
+    return (x @ (y & 0xFFFF) + ((x @ (y >> 16)) % p << 16)) % p
+
+
 def _envelope(c, p: Optional[int] = None):
     """Matrix of the enveloping map from a dim^3 integer tensor c of structure constants.
 
     Column (i, j) is e_i (x) e_j and row (s, t) holds the e_s coefficient of
-    e_i (e_t e_j). With p = None the entries are exact Python ints. With a
-    prime p < 2^31 they are residues in int64: one factor is split into 16-bit
-    limbs, so every partial sum stays below 2^31 * 2^16 * 64 = 2^53 for dim <= 64.
+    e_i (e_t e_j): exact Python ints with p = None, residues in int64 with a
+    prime p < 2^31 (see _matmul_mod).
+    """
+    d = c.shape[0]
+    x = c.transpose(0, 2, 1).reshape(d * d, d)  # x[(i, s), m] = c[i, m, s]
+    y = c.transpose(2, 0, 1).reshape(d, d * d)  # y[m, (t, j)] = c[t, j, m]
+    prod = _matmul_mod(x, y, p)
+    return prod.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(d * d, d * d)
+
+
+def _central_simple_mod_p(c, env, p: int) -> bool:
+    """Is the algebra with structure constants c central simple over GF(p)?
+
+    c is a dim^3 int64 tensor of residues mod p, and env is _envelope(c, p).
+    True only if all three checks hold mod p:
+    - the centre {z : z e_x = e_x z for all x}, the kernel of the
+      d^2 x d system sum_k z_k (c[k,x,s] - c[x,k,s]) = 0, has dimension 1;
+    - the trace form T(x, y) = tr(L_xy), T[x,y] = sum_m c[x,y,m] sum_s c[m,s,s],
+      has rank d;
+    - the algebra is associative: (e_i e_t) e_j, from one more product,
+      equals e_i (e_t e_j), which env holds.
+    Then env has full rank d^2 mod p, and so has the integer matrix over Q
+    that it reduces (a rank over Q is at least the rank mod p). Proof: the
+    Jacobson radical J of an associative finite-dimensional algebra A is a
+    nilpotent ideal, so for x in J and every y, xy lies in J, L_xy is nilpotent
+    and T(x, y) = 0; a nondegenerate T forces J = 0. By Wedderburn-Artin and
+    Wedderburn's little theorem, A is then a product of matrix algebras
+    M_n(F) over finite fields F containing GF(p), with a unit (Pierce,
+    Associative Algebras, GTM 88). Its centre is the product of those F, so
+    dimension 1 leaves A = M_n(GF(p)), a central simple algebra, whose
+    enveloping map A (x) A^op -> End(A) is an isomorphism.
+
+    A False proves nothing. The even Clifford algebra of a smooth odd-rank
+    form is M_n(GF(p)) with n a power of 2, so in characteristic 2 its trace
+    form n * trd vanishes and the elimination decides instead.
     """
     import numpy as np
 
     d = c.shape[0]
-    x = c.transpose(0, 2, 1).reshape(d * d, d)  # x[(i, s), m] = c[i, m, s]
-    y = c.transpose(2, 0, 1).reshape(d, d * d)  # y[m, (t, j)] = c[t, j, m]
-    if p is None:
-        prod = x @ y
-    else:
-        x, y = (x % p).astype(np.int64), (y % p).astype(np.int64)
-        prod = (x @ (y & 0xFFFF) + ((x @ (y >> 16)) % p << 16)) % p
-    return prod.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(d * d, d * d)
+    centre = (c.transpose(1, 2, 0) - c.transpose(0, 2, 1)).reshape(d * d, d) % p
+    if _echelon_mod_p(centre, p)[0] != d - 1:
+        return False
+    trace = c.trace(axis1=1, axis2=2).reshape(d, 1)  # tr L_{e_m}; below 2^37
+    if _echelon_mod_p(_matmul_mod(c.reshape(d * d, d), trace, p).reshape(d, d), p)[0] != d:
+        return False
+    left = _matmul_mod(c.reshape(d * d, d), c.reshape(d, d * d), p)  # [(i,t),(j,s)]
+    left = left.reshape(d, d, d, d).transpose(3, 1, 0, 2).reshape(d * d, d * d)
+    return np.array_equal(left, env)
 
 
 def _echelon_mod_p(a, p: int) -> tuple[int, Optional[list[int]]]:
-    """Rank of a square int64 matrix of residues mod a prime p < 2^31 (row
-    operations stay below 2^62), eliminated in place, and one kernel vector if
-    the rank is deficient: 1 at the first column without a pivot, 0 after it,
-    and back-substituted before it, where every pivot sits on the diagonal.
+    """Rank of a 2-D int64 matrix of residues mod a prime p < 2^31, of any
+    shape (row operations stay below 2^62), eliminated in place, and one
+    kernel vector if some column has no pivot: 1 at the first such column, 0
+    after it, and back-substituted before it, where every pivot sits on the
+    diagonal.
     """
     import numpy as np
 
@@ -370,16 +449,22 @@ def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
     return None
 
 
-def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
-    """Is the enveloping map alg (x) alg-op -> End(alg) bijective?
+def azumaya_certificate(alg: StructureConstantAlgebra) -> tuple[bool, str]:
+    """Is the enveloping map alg (x) alg-op -> End(alg) bijective, and which
+    certificate decided it?
 
-    Decided by the rank of the map's matrix, built from the structure constants
-    as integers: residues over GF(p); over Q, the constants times the lcm of
-    their denominators, which keeps rank and kernel. Over GF(p) one elimination
-    decides. Over Q, full rank modulo a prime certifies bijectivity, and a
-    kernel vector CRT-accumulated over the primes that share the latest free
-    column seen, rationally reconstructed and zero under the exact matrix
-    certifies a deficit; else Fraction rank decides.
+    Decided on the structure constants as an integer tensor: residues over
+    GF(p); over Q, the constants times the lcm of their denominators, which
+    keeps rank and kernel. Each prime visited (the characteristic over GF(p),
+    each of _AZUMAYA_PRIMES over Q) tries, in order:
+    - "central-simple": the constants mod p define a central simple algebra
+      (_central_simple_mod_p), so the map's matrix has full rank; True.
+    - "full-rank": the matrix, eliminated mod p, has full rank; True.
+    Over GF(p) a rank deficit of that elimination is exact: "kernel", False.
+    Over Q a kernel vector is CRT-accumulated over the primes that share the
+    latest free column seen, and rationally reconstructed: zero under the
+    exact matrix, it certifies a deficit, "kernel", False. When no prime
+    decides, Fraction rank does: "exact".
     """
     import numpy as np
 
@@ -391,17 +476,21 @@ def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
     flat = [x for row in alg.table for cell in row for x in cell]
     if char:
         zero = GFElement(char, 0)
-        flat = [(zero + x).v for x in flat]
+        flat = [x.v if isinstance(x, GFElement) and x.p == char else (zero + x).v for x in flat]
     else:
         flat = clear_denominators(flat)
     c = np.array(flat, dtype=object).reshape(d, d, d)
-    if char:
-        return _echelon_mod_p(_envelope(c, char), char)[0] == n
     exact, modulus, acc, free = None, 1, [0] * n, None
-    for p in _AZUMAYA_PRIMES:
-        r, vec = _echelon_mod_p(_envelope(c, p), p)
+    for p in (char,) if char else _AZUMAYA_PRIMES:
+        residues = (c % p).astype(np.int64)
+        env = _envelope(residues, p)
+        if _central_simple_mod_p(residues, env, p):
+            return True, "central-simple"
+        r, vec = _echelon_mod_p(env, p)
         if r == n:
-            return True
+            return True, "full-rank"
+        if char:
+            return False, "kernel"
         exact = _envelope(c) if exact is None else exact
         # vec is 1 at its free column and 0 after it. That column is at most
         # the one over Q, with equality exactly at the primes whose kernel
@@ -418,8 +507,14 @@ def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
         fracs = [_rational_reconstruct(a, modulus) for a in acc]
         if None not in fracs:
             if not any(exact.dot(clear_denominators(fracs))):
-                return False
-    return rank([[Fraction(x) for x in row] for row in exact.tolist()]) == n
+                return False, "kernel"
+    return rank([[Fraction(x) for x in row] for row in exact.tolist()]) == n, "exact"
+
+
+def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
+    """Is the enveloping map alg (x) alg-op -> End(alg) bijective? See
+    azumaya_certificate for how it is decided."""
+    return azumaya_certificate(alg)[0]
 
 
 @dataclass(frozen=True)

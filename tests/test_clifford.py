@@ -13,6 +13,7 @@ from quivermod.clifford import (
     QuadraticFormB,
     QuaternionAlgebra,
     StructureConstantAlgebra,
+    azumaya_certificate,
     build_clifford,
     form_from_conic,
     hilbert_polynomial_quadric,
@@ -288,10 +289,44 @@ def enveloping_rank_oracle(alg):
     return rank(rows)
 
 
+def enveloping_rank_mod(alg, q):
+    """Rank mod a prime q of the enveloping matrix, built by plain loops as in
+    enveloping_rank_oracle and eliminated in Python ints.
+
+    Exact for a table over GF(q); for a rational table whose denominators q
+    does not divide, a lower bound of the rank over Q, so d^2 proves full rank.
+    """
+    d = alg.dim
+    t = [[[x.v if isinstance(x, GFElement) else x.numerator * pow(x.denominator, -1, q) % q
+           for x in cell] for cell in row] for row in alg.table]
+    rows = []
+    for k_out in range(d):
+        for k_in in range(d):
+            row = []
+            for i in range(d):
+                nonzero = [(m, a) for m, a in enumerate(t[i][k_in]) if a]
+                row += [sum(a * t[m][j][k_out] for m, a in nonzero) % q for j in range(d)]
+            rows.append(row)
+    r = 0
+    for col in range(d * d):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], -1, q)
+        prow = [x * inv % q for x in rows[r][col:]]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i][col:] = [(a - f * b) % q for a, b in zip(rows[i][col:], prow)]
+        r += 1
+    return r
+
+
 @st.composite
-def azumaya_inputs(draw):
+def azumaya_inputs(draw, max_size=3):
     """(b, char) over Q, integral or not, and over GF(p), p in {2, 3, 5, 2^31 - 1}."""
-    size = draw(st.integers(1, 3))
+    size = draw(st.integers(1, max_size))
     char = draw(st.sampled_from([0, 0, 2, 3, 5, 2 ** 31 - 1]))
     b = draw(symmetric_b(size, -4, 4))
     if char == 0 and draw(st.booleans()):
@@ -346,15 +381,16 @@ class TestAzumaya:
         assert is_azumaya_over_field(even) == (enveloping_rank_oracle(even) == even.dim ** 2)
 
     def test_modular_envelope_has_no_overflow(self):
-        # residues near 2^31 make each entry a sum of 16 products near 2^62,
-        # which wraps in plain int64 arithmetic
+        # the negative constants reduce to residues near 2^31, so each entry is
+        # a sum of 16 products near 2^62: plain int64 arithmetic wraps, and
+        # _envelope stays exact only through _matmul_mod's limb split
         p = 2 ** 31 - 1
         b = [[-1, 3, -2, 0, 1], [3, -4, 1, -3, 2], [-2, 1, 2, -1, -4],
              [0, -3, -1, -2, 3], [1, 2, -4, 3, -3]]
         even = build_clifford(QuadraticFormB(b, char=p)).even_part()
         c = [[[x.v for x in cell] for cell in row] for row in even.table]
         d = even.dim
-        assert d == 16
+        assert d == 16 and max(x for row in c for cell in row for x in cell) > 2 ** 30
         exact = [
             [sum(c[t][j][m] * c[i][m][s] for m in range(d)) for i in range(d) for j in range(d)]
             for s in range(d) for t in range(d)
@@ -389,6 +425,7 @@ class TestAzumaya:
         calls = self.spy(monkeypatch)
         assert is_azumaya_over_field(even)
         assert calls == {"envelope": [clifford_module._AZUMAYA_PRIMES[0]], "rank": 0}
+        assert azumaya_certificate(even) == (True, "central-simple")
 
     @pytest.mark.parametrize("b", [
         [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
@@ -403,6 +440,7 @@ class TestAzumaya:
         calls = self.spy(monkeypatch)
         assert not is_azumaya_over_field(even)
         assert calls == {"envelope": [clifford_module._AZUMAYA_PRIMES[0], None], "rank": 0}
+        assert azumaya_certificate(even) == (False, "kernel")
 
     def test_certificate_kernel_needs_two_primes(self, monkeypatch):
         # kernel entries in ninths reconstruct modulo 101 * 103 but not modulo 101
@@ -413,6 +451,7 @@ class TestAzumaya:
         monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (101, 103, 107))
         assert not is_azumaya_over_field(even)
         assert calls == {"envelope": [101, None, 103], "rank": 0}
+        assert azumaya_certificate(even) == (False, "kernel")
 
     @pytest.mark.parametrize("b", [
         [[1, 0, 0], [0, 3, 0], [0, 0, 0]],
@@ -426,6 +465,7 @@ class TestAzumaya:
         monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (3, 101, 103))
         assert not is_azumaya_over_field(even)
         assert calls == {"envelope": [3, None, 101], "rank": 0}
+        assert azumaya_certificate(even) == (False, "kernel")
 
     def test_certificate_kernel_skips_bad_middle_prime(self, monkeypatch):
         # kernel entries in ninths need 101 * 103; the bad prime 3 between
@@ -437,6 +477,7 @@ class TestAzumaya:
         monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (101, 3, 103))
         assert not is_azumaya_over_field(even)
         assert calls == {"envelope": [101, None, 3, 103], "rank": 0}
+        assert azumaya_certificate(even) == (False, "kernel")
 
     def test_certificate_exact_fallback(self, monkeypatch):
         # 3 divides the discriminant, so the only prime sees a rank deficit
@@ -446,6 +487,97 @@ class TestAzumaya:
         monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (3,))
         assert is_azumaya_over_field(even)
         assert calls == {"envelope": [3, None], "rank": 1}
+        assert azumaya_certificate(even) == (True, "exact")
+
+    @given(azumaya_inputs(max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_central_simple_verdict_is_sound(self, inp):
+        b, char = inp
+        even = build_clifford(QuadraticFormB(b, char=char)).even_part()
+        verdict, name = azumaya_certificate(even)
+        # over Q the rank mod 2^31 - 1, a prime the test does not visit, is a
+        # lower bound of the rank, and no form drawn here has it as a bad prime
+        assert verdict == (enveloping_rank_mod(even, char or 2 ** 31 - 1) == even.dim ** 2)
+        assert name in ("central-simple", "full-rank", "kernel", "exact")
+
+    def test_certificate_needs_associativity(self):
+        # Hamilton's quaternions with one unit term added to i j: the centre
+        # stays the scalars and the trace form stays nondegenerate, but the
+        # product is no longer associative
+        even = build_clifford(diag_form([1, 1, 1])).even_part()
+        d = even.dim
+        t = [[list(cell) for cell in row] for row in even.table]
+        t[1][2][0] += 1
+        alg = StructureConstantAlgebra(
+            dim=d, table=tuple(tuple(tuple(cell) for cell in row) for row in t), char=0)
+        assert rank([[t[k][x][s] - t[x][k][s] for k in range(d)]
+                     for x in range(d) for s in range(d)]) == d - 1
+        trace = [sum(t[m][s][s] for s in range(d)) for m in range(d)]
+        assert rank([[sum(t[x][y][m] * trace[m] for m in range(d)) for y in range(d)]
+                     for x in range(d)]) == d
+        assert any(sum(t[i][k][m] * t[m][j][s] - t[k][j][m] * t[i][m][s] for m in range(d))
+                   for i, k, j, s in itertools.product(range(d), repeat=4))
+        verdict, name = azumaya_certificate(alg)
+        assert name != "central-simple"
+        assert verdict == (enveloping_rank_oracle(alg) == d ** 2)
+
+    def test_char2_quinary_needs_the_elimination(self):
+        # M_4(GF(2)) has the trace form 4 trd = 0
+        even = build_clifford(standard_form(3, char=2)).even_part()
+        assert azumaya_certificate(even) == (True, "full-rank")
+
+    @given(azumaya_inputs(max_size=5))
+    @settings(max_examples=30, deadline=None)
+    def test_even_part_matches_mul_basis(self, inp):
+        b, char = inp
+        cl = build_clifford(QuadraticFormB(b, char=char))
+        masks = cl.even_masks()
+        zero = cl.q.zero()
+        expected = []
+        for s in masks:
+            cells = []
+            for t in masks:
+                prod = cl.mul_basis(s, t)
+                cells.append(tuple(prod.get(m, zero) for m in masks))
+            expected.append(tuple(cells))
+        table = cl.even_part().table
+        assert table == tuple(expected)
+        assert {type(x) for row in table for cell in row for x in cell} == {type(zero)}
+
+    @given(st.integers(1, 9), st.integers(1, 9), st.sampled_from([2, 3, 5, 2 ** 31 - 1]),
+           st.randoms(use_true_random=False))
+    @settings(max_examples=60, deadline=None)
+    def test_echelon_mod_p_any_shape(self, rows, cols, p, rnd):
+        import numpy as np
+
+        # a low-rank product plus sparse noise gives every rank a chance
+        k = rnd.randint(0, min(rows, cols))
+        left = [[rnd.randrange(p) for _ in range(k)] for _ in range(rows)]
+        right = [[rnd.randrange(p) for _ in range(cols)] for _ in range(k)]
+        a = [[(sum(x * y for x, y in zip(row, col)) + (rnd.random() < 0.1)) % p
+              for col in zip(*right)] if k else [int(rnd.random() < 0.1) for _ in range(cols)]
+             for row in left]
+        r, vec = clifford_module._echelon_mod_p(np.array(a, dtype=np.int64), p)
+        assert r == rank([[GFElement(p, x) for x in row] for row in a])
+        assert (vec is None) == (r == cols)
+        if vec is not None:
+            assert all(sum(x * v for x, v in zip(row, vec)) % p == 0 for row in a)
+
+    @pytest.mark.parametrize("near", [True, False])
+    def test_matmul_mod_is_exact(self, near):
+        # residues near p overflow a plain int64 product; small signed entries
+        # reduce to residues near 0 and near p
+        import random
+
+        import numpy as np
+
+        p, rnd = 2 ** 31 - 1, random.Random(7)
+        draw = (lambda: p - 1 - rnd.randrange(2 ** 20)) if near else (lambda: rnd.randint(-9, 9))
+        x = [[draw() for _ in range(64)] for _ in range(5)]
+        y = [[draw() for _ in range(7)] for _ in range(64)]
+        out = clifford_module._matmul_mod(np.array(x, dtype=object), np.array(y, dtype=object), p)
+        assert out.tolist() == [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*y)]
+                                for row in x]
 
     def test_import_leaves_numpy_unloaded(self):
         code = ("import sys, quivermod\n"
