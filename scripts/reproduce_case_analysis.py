@@ -12,6 +12,8 @@ import argparse
 import sys
 
 from quivermod.kronecker import (
+    expected_kronecker_exceptions,
+    expected_loop_exceptions,
     grid_box,
     kronecker_criterion_exceptions,
     kronecker_inequality_trace,
@@ -55,7 +57,14 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="accepted and ignored; the scans run in one process")
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def _run(args) -> int:
     loop = loop_criterion_exceptions(
         range(2, args.loop_m_max + 1),
         range(2, args.loop_d_max + 1),
@@ -74,7 +83,8 @@ def main(argv=None) -> int:
     for m, d in kron.exceptions:
         print(f"  exception: m = {m}, d = ({d[0]}, {d[1]})")
 
-    expected = (((2, 2),), ((3, (2, 2)),))
+    expected = (expected_loop_exceptions(args.loop_m_max, args.loop_d_max),
+                expected_kronecker_exceptions(args.kronecker_m_max, args.kronecker_d_max))
     if (loop.exceptions, kron.exceptions) != expected:
         print("UNEXPECTED exception set", file=sys.stderr)
         return 1

@@ -5,10 +5,14 @@ Exact rationals print as `p/q` (bare integer when the denominator is 1) and
 parse back identically. Exit codes: 0 success, 1 verification mismatch in the
 verify subcommands, 2 usage or domain error, 3 internal invariant failure (an
 exact self-check such as the conic witness verification failed; a bug).
+Records are held back until the command returns, so an error leaves stdout
+empty.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import sys
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -22,7 +26,13 @@ from .clifford import (
     is_smooth_quadric,
 )
 from .hilbert import conic_has_rational_point, quaternion_is_split, symbol_profile
-from .kronecker import grid_box, kronecker_criterion_exceptions, loop_criterion_exceptions
+from .kronecker import (
+    expected_kronecker_exceptions,
+    expected_loop_exceptions,
+    grid_box,
+    kronecker_criterion_exceptions,
+    loop_criterion_exceptions,
+)
 from .models import (
     ConicFiber,
     k3_conic,
@@ -51,10 +61,6 @@ from .stability import (
     predict_brauer,
     strictly_semistable_wall_codim,
 )
-
-LOOP_EXPECTED = ((2, 2),)
-KRONECKER_EXPECTED = ((3, (2, 2)),)
-
 
 def _ints(text: str) -> tuple[int, ...]:
     try:
@@ -163,9 +169,7 @@ def _cmd_verify_loop(args) -> int:
     result = loop_criterion_exceptions(
         range(2, args.m_max + 1), range(2, args.d_max + 1), workers=args.workers
     )
-    expected = tuple(
-        (m, d) for (m, d) in LOOP_EXPECTED if m <= args.m_max and d <= args.d_max
-    )
+    expected = expected_loop_exceptions(args.m_max, args.d_max)
     for m, d in result.exceptions:
         _row("exception", m, d)
     match = tuple(result.exceptions) == expected
@@ -178,11 +182,7 @@ def _cmd_verify_kronecker(args) -> int:
     result = kronecker_criterion_exceptions(
         range(3, args.m_max + 1), grid_box(args.d_max, args.d_max), workers=args.workers
     )
-    expected = tuple(
-        (m, d)
-        for (m, d) in KRONECKER_EXPECTED
-        if m <= args.m_max and max(d) <= args.d_max
-    )
+    expected = expected_kronecker_exceptions(args.m_max, args.d_max)
     for m, d in result.exceptions:
         _row("exception", m, ",".join(map(str, d)))
     match = tuple(result.exceptions) == expected
@@ -387,14 +387,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    out = io.StringIO()
     try:
-        return args.func(args)
+        with contextlib.redirect_stdout(out):
+            code = args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RuntimeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 if __name__ == "__main__":

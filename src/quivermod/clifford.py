@@ -188,9 +188,7 @@ def is_smooth_quadric(q: QuadraticFormB) -> bool:
     polar form must be nonsingular.
     """
     g = [list(row) for row in q.gram()]
-    if q.char != 2:
-        return rank(g) == q.size
-    if q.size % 2 == 0:
+    if q.char != 2 or q.size % 2 == 0:
         return rank(g) == q.size
     kernel = nullspace(g)
     if len(kernel) != 1:
@@ -280,36 +278,26 @@ class CliffordAlgebra:
         return alg
 
     def even_part(self) -> "StructureConstantAlgebra":
-        """The even subalgebra by its structure constants in the form's field.
+        """The even subalgebra, its table in the format of StructureConstantAlgebra.
 
-        Over GF(p), and over Q when every entry of b is an integer, the
-        products are computed on plain ints (GF(p) residues lifted to
-        (-p/2, p/2]) and turned into field scalars at the end. All zero
-        entries of the table are one shared object.
+        The products are computed on the generator scalars lifted to ints:
+        GF(p) residues to (-p/2, p/2], integral rationals to their numerators;
+        other rationals stay Fractions.
         """
         masks = self.even_masks()
         index = {m: i for i, m in enumerate(masks)}
-        d = len(masks)
-        zero, p = self._zero, self.q.char
-        alg = self
+        d, p = len(masks), self.q.char
         if p:
             alg = self._lifted(lambda x: x.v - p if 2 * x.v > p else x.v)
-        elif all(x.denominator == 1 for row in self.q.b for x in row):
-            alg = self._lifted(int)
+        else:
+            alg = self._lifted(lambda x: x.numerator if x.denominator == 1 else x)
         table = []
         for s in masks:
             cells = []
             for t in masks:
-                row = [zero] * d
+                row = [0] * d
                 for m, c in alg.mul_basis(s, t).items():
-                    if p:
-                        c %= p
-                        if not c:
-                            continue
-                        c = GFElement(p, c)
-                    elif alg is not self:
-                        c = Fraction(c)
-                    row[index[m]] = c
+                    row[index[m]] = c % p if p else c
                 cells.append(tuple(row))
             table.append(tuple(cells))
         return StructureConstantAlgebra(dim=d, table=tuple(table), char=p)
@@ -321,7 +309,11 @@ def build_clifford(q: QuadraticFormB) -> CliffordAlgebra:
 
 @dataclass(frozen=True)
 class StructureConstantAlgebra:
-    """Finite-dimensional algebra: table[i][j][k] is the e_k coefficient of e_i e_j."""
+    """Finite-dimensional algebra: table[i][j][k] is the e_k coefficient of e_i e_j.
+
+    The coefficients are ints in [0, char) over GF(char), and ints or
+    Fractions over Q (char 0).
+    """
 
     dim: int
     table: tuple
@@ -474,11 +466,7 @@ def azumaya_certificate(alg: StructureConstantAlgebra) -> tuple[bool, str]:
     if char >= CHAR_BOUND:
         raise ValueError(f"characteristic {char} is not below 2^31")
     flat = [x for row in alg.table for cell in row for x in cell]
-    if char:
-        zero = GFElement(char, 0)
-        flat = [x.v if isinstance(x, GFElement) and x.p == char else (zero + x).v for x in flat]
-    else:
-        flat = clear_denominators(flat)
+    flat = [x % char for x in flat] if char else clear_denominators(flat)
     c = np.array(flat, dtype=object).reshape(d, d, d)
     exact, modulus, acc, free = None, 1, [0] * n, None
     for p in (char,) if char else _AZUMAYA_PRIMES:
@@ -508,7 +496,7 @@ def azumaya_certificate(alg: StructureConstantAlgebra) -> tuple[bool, str]:
         if None not in fracs:
             if not any(exact.dot(clear_denominators(fracs))):
                 return False, "kernel"
-    return rank([[Fraction(x) for x in row] for row in exact.tolist()]) == n, "exact"
+    return rank(exact.tolist()) == n, "exact"
 
 
 def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:
@@ -549,9 +537,9 @@ def quaternion_from_ternary(q: QuadraticFormB) -> QuaternionAlgebra:
         raise ValueError("expected a ternary form")
     if q.char == 2:
         raise ValueError("quaternion extraction needs characteristic != 2")
-    if not is_smooth_quadric(q):
-        raise ValueError("form is degenerate")
     coeffs, _ = q.diagonalize()
+    if 0 in coeffs:  # the Gram matrix is congruent to diag(2 coeffs)
+        raise ValueError("form is degenerate")
     alpha, beta, gamma = coeffs
     u = -alpha * beta
     v = -beta * gamma

@@ -182,6 +182,17 @@ def kronecker_criterion_exceptions(
     return ScanResult(tuple(exceptions), len(ms) * len(cells), time.perf_counter() - t0)
 
 
+def expected_loop_exceptions(m_max: int, d_max: int) -> tuple:
+    """The paper's loop exception (m, d) = (2, 2), if m <= m_max and d <= d_max."""
+    return ((2, 2),) if m_max >= 2 and d_max >= 2 else ()
+
+
+def expected_kronecker_exceptions(m_max: int, d_max: int) -> tuple:
+    """The paper's Kronecker exception (m, d) = (3, (2, 2)), if m <= m_max and
+    d lies in the grid [1, d_max]^2."""
+    return ((3, (2, 2)),) if m_max >= 3 and d_max >= 2 else ()
+
+
 def grid_box(d1_max: int, d2_max: int) -> list[Pair]:
     """[1, d1_max] x [1, d2_max] as a list of cells."""
     return [(a, b) for a in range(1, d1_max + 1) for b in range(1, d2_max + 1)]

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import det3, nullspace, primitive_int_vector, rank
+from .linalg import det3, mat_vec, nullspace, primitive_int_vector, rank
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 Vec2 = tuple[Fraction, Fraction]
@@ -57,16 +57,8 @@ def mat2_mul(x: Mat2, y: Mat2) -> Mat2:
     )
 
 
-def mat2_vec(x: Mat2, v: Vec2) -> Vec2:
-    return (x[0][0] * v[0] + x[0][1] * v[1], x[1][0] * v[0] + x[1][1] * v[1])
-
-
 def mat2_trace(x: Mat2) -> Fraction:
     return x[0][0] + x[1][1]
-
-
-def mat2_det(x: Mat2) -> Fraction:
-    return x[0][0] * x[1][1] - x[0][1] * x[1][0]
 
 
 def mat2_traceless(x: Mat2) -> Mat2:
@@ -162,9 +154,9 @@ def l2_semiinvariants(
     w = vec2(v)
     Ap, Bp = mat2_traceless(A), mat2_traceless(B)
     return (
-        det_cols(w, mat2_vec(A, w)),
-        det_cols(mat2_vec(Ap, w), mat2_vec(Bp, w)),
-        det_cols(w, mat2_vec(B, w)),
+        det_cols(w, mat_vec(A, w)),
+        det_cols(mat_vec(Ap, w), mat_vec(Bp, w)),
+        det_cols(w, mat_vec(B, w)),
     )
 
 
@@ -229,13 +221,14 @@ def k3_invariants(
     a_mat: Sequence[Sequence], b_mat: Sequence[Sequence], c_mat: Sequence[Sequence]
 ) -> K3Point:
     A, B, C = mat2(a_mat), mat2(b_mat), mat2(c_mat)
+    # det_cols(*X) is det(X^T) = det(X)
     return K3Point(
-        a=mat2_det(A),
+        a=det_cols(*A),
         b=_mixed_det(A, B),
         c=_mixed_det(A, C),
-        d=mat2_det(B),
+        d=det_cols(*B),
         e=_mixed_det(B, C),
-        f=mat2_det(C),
+        f=det_cols(*C),
     )
 
 
@@ -255,7 +248,7 @@ def k3_semiinvariants(
     """(x, y, z) = (det(Av|Bv), det(Av|Cv), det(Bv|Cv))."""
     A, B, C = mat2(a_mat), mat2(b_mat), mat2(c_mat)
     w = vec2(v)
-    av, bv, cv = mat2_vec(A, w), mat2_vec(B, w), mat2_vec(C, w)
+    av, bv, cv = mat_vec(A, w), mat_vec(B, w), mat_vec(C, w)
     return (det_cols(av, bv), det_cols(av, cv), det_cols(bv, cv))
 
 
@@ -274,9 +267,9 @@ def _pair_form(x: Mat2, y: Mat2) -> tuple[Fraction, ...]:
     e1: Vec2 = (Fraction(1), Fraction(0))
     e2: Vec2 = (Fraction(0), Fraction(1))
     both: Vec2 = (Fraction(1), Fraction(1))
-    alpha = det_cols(mat2_vec(x, e1), mat2_vec(y, e1))
-    gamma = det_cols(mat2_vec(x, e2), mat2_vec(y, e2))
-    beta = det_cols(mat2_vec(x, both), mat2_vec(y, both)) - alpha - gamma
+    alpha = det_cols(mat_vec(x, e1), mat_vec(y, e1))
+    gamma = det_cols(mat_vec(x, e2), mat_vec(y, e2))
+    beta = det_cols(mat_vec(x, both), mat_vec(y, both)) - alpha - gamma
     return (alpha, beta, gamma)
 
 

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -299,6 +303,17 @@ class TestErrorHandling:
         assert code == 2
         assert out == [] and err.startswith("error:") and "2^31" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["k3", "--A", "0,0,0,0", "--B", "0,0,0,0", "--C", "0,0,0,0"],
+        ["l2", "--A", "1,0,0,1", "--B", "0,1,0,0", "--v", "1,2,3"],
+        # an even part of dimension 128 passes three records, then exceeds the capacity
+        ["clifford", "--b", ",".join("1" if i % 9 == 0 else "0" for i in range(64))],
+    ])
+    def test_domain_error_leaves_stdout_empty(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == [] and err.startswith("error:")
+
     def test_clifford_non_square_entry_count(self, capsys):
         code, _, err = run(capsys, ["clifford", "--b", "1,2,3"])
         assert code == 2
@@ -326,3 +341,26 @@ class TestErrorHandling:
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == [] and "nonempty" in err
+
+
+class TestCaseAnalysisScript:
+    ROOT = Path(__file__).resolve().parents[1]
+
+    def script(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(self.ROOT / "src"))
+        return subprocess.run(
+            [sys.executable, str(self.ROOT / "scripts" / "reproduce_case_analysis.py"), *argv],
+            capture_output=True, text=True, env=env,
+        )
+
+    def test_small_grid_without_the_exception_matches(self):
+        # the grid [1, 1]^2 holds no exceptional cell, as verify-kronecker agrees
+        out = self.script("--kronecker-d-max", "1")
+        assert out.returncode == 0 and "UNEXPECTED" not in out.stderr
+        assert "  exception: m = 3" not in out.stdout
+        assert main(["verify-kronecker", "--d-max", "1"]) == 0
+
+    def test_empty_range_is_one_error_line(self):
+        out = self.script("--kronecker-m-max", "2")
+        assert out.returncode == 2
+        assert out.stderr == "error: kronecker scan needs a nonempty m-range and box\n"

@@ -267,12 +267,15 @@ class TestCliffordAlgebra:
 
 
 def enveloping_rank_oracle(alg):
-    """Rank of the enveloping matrix by plain loops over the table's own field.
+    """Rank of the enveloping matrix by plain loops over the table's field:
+    GFElement over GF(alg.char), Fraction over Q.
 
     Entry (k_out, k_in), (i, j) is the e_k_out coefficient of (e_i e_k_in) e_j;
     the library brackets the product the other way, e_i (e_k_in e_j).
     """
-    d, t = alg.dim, alg.table
+    d, p = alg.dim, alg.char
+    t = [[[GFElement(p, x) if p else Fraction(x) for x in cell] for cell in row]
+         for row in alg.table]
     zero = t[0][0][0] * 0
     rows = []
     for k_out in range(d):
@@ -297,7 +300,7 @@ def enveloping_rank_mod(alg, q):
     does not divide, a lower bound of the rank over Q, so d^2 proves full rank.
     """
     d = alg.dim
-    t = [[[x.v if isinstance(x, GFElement) else x.numerator * pow(x.denominator, -1, q) % q
+    t = [[[x % q if alg.char else x.numerator * pow(x.denominator, -1, q) % q
            for x in cell] for cell in row] for row in alg.table]
     rows = []
     for k_out in range(d):
@@ -388,7 +391,7 @@ class TestAzumaya:
         b = [[-1, 3, -2, 0, 1], [3, -4, 1, -3, 2], [-2, 1, 2, -1, -4],
              [0, -3, -1, -2, 3], [1, 2, -4, 3, -3]]
         even = build_clifford(QuadraticFormB(b, char=p)).even_part()
-        c = [[[x.v for x in cell] for cell in row] for row in even.table]
+        c = [[list(cell) for cell in row] for row in even.table]
         d = even.dim
         assert d == 16 and max(x for row in c for cell in row for x in cell) > 2 ** 30
         exact = [
@@ -542,7 +545,15 @@ class TestAzumaya:
             expected.append(tuple(cells))
         table = cl.even_part().table
         assert table == tuple(expected)
-        assert {type(x) for row in table for cell in row for x in cell} == {type(zero)}
+        # the format StructureConstantAlgebra states: residues in [0, p) over
+        # GF(p); over Q ints when b is integral, ints or Fractions otherwise
+        flat = [x for row in table for cell in row for x in cell]
+        if char:
+            assert all(type(x) is int and 0 <= x < char for x in flat)
+        elif all(x.denominator == 1 for row in cl.q.b for x in row):
+            assert all(type(x) is int for x in flat)
+        else:
+            assert all(type(x) in (int, Fraction) for x in flat)
 
     @given(st.integers(1, 9), st.integers(1, 9), st.sampled_from([2, 3, 5, 2 ** 31 - 1]),
            st.randoms(use_true_random=False))
@@ -627,6 +638,16 @@ class TestQuaternionExtraction:
         coeffs, _ = q.diagonalize()
         assert quat.u == -coeffs[0] * coeffs[1]
         assert quat.v == -coeffs[1] * coeffs[2]
+
+    @given(symmetric_b(3, -3, 3), st.sampled_from([0, 3, 5]))
+    @settings(max_examples=80, deadline=None)
+    def test_raises_exactly_on_degenerate_forms(self, b, char):
+        q = QuadraticFormB(b, char=char)
+        if is_smooth_quadric(q):
+            quaternion_from_ternary(q)
+        else:
+            with pytest.raises(ValueError, match="form is degenerate"):
+                quaternion_from_ternary(q)
 
     def test_norm_form_conic(self):
         quat = quaternion_from_ternary(diag_form([1, 1, 1]))

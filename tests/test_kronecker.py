@@ -6,6 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from quivermod.kronecker import (
     KroneckerInstance,
+    expected_kronecker_exceptions,
+    expected_loop_exceptions,
     grid_box,
     kronecker_criterion_exceptions,
     kronecker_dualize,
@@ -118,6 +120,16 @@ class TestScans:
         result = loop_criterion_exceptions(range(2, 9), range(2, 13))
         assert result.exceptions == ((2, 2),)
         assert result.scanned == 7 * 11
+
+    @pytest.mark.parametrize("m_max, d_max", [(2, 2), (3, 5)])
+    def test_loop_scan_reports_expected(self, m_max, d_max):
+        result = loop_criterion_exceptions(range(2, m_max + 1), range(2, d_max + 1))
+        assert result.exceptions == expected_loop_exceptions(m_max, d_max)
+
+    @pytest.mark.parametrize("m_max, d_max", [(3, 1), (3, 2), (4, 5)])
+    def test_kronecker_scan_reports_expected(self, m_max, d_max):
+        result = kronecker_criterion_exceptions(range(3, m_max + 1), grid_box(d_max, d_max))
+        assert result.exceptions == expected_kronecker_exceptions(m_max, d_max)
 
     def test_loop_scan_validation(self):
         with pytest.raises(ValueError):
