@@ -9,6 +9,8 @@ admissible decomposition of the one dimension vector that fails the criterion,
 showing exactly where the margin degenerates to an Euler pairing of -1.
 """
 import argparse
+import contextlib
+import io
 import sys
 
 from quivermod.kronecker import (
@@ -57,11 +59,15 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None,
                         help="accepted and ignored; the scans run in one process")
     args = parser.parse_args(argv)
+    out = io.StringIO()  # held back, as in quivermod.cli, so an error leaves stdout empty
     try:
-        return _run(args)
+        with contextlib.redirect_stdout(out):
+            code = _run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(out.getvalue())
+    return code
 
 
 def _run(args) -> int:

@@ -6,7 +6,8 @@ Q(sum lambda_i e_i) = sum_{i <= j} b_ij lambda_i lambda_j: diagonal entries are
 the square coefficients, each off-diagonal coefficient is stored symmetrically
 and counted once. The polar form is Phi(e_i, e_j) = b_ij for i != j and
 Phi(e_i, e_i) = 2 b_ii. Coefficients live in Q (Fraction) or in a prime field
-GF(p) (GFElement); characteristic 2 is allowed everywhere except where noted.
+GF(p) (an int residue in [0, p)); characteristic 2 is allowed everywhere except
+where noted.
 
 The Clifford algebra has basis e_S indexed by subsets S of {0, ..., n+1},
 encoded as bitmasks, with e_i e_j + e_j e_i = Phi(e_i, e_j) for i != j and
@@ -15,25 +16,22 @@ span of the even-cardinality subsets and has rank 2^(n+1).
 """
 from __future__ import annotations
 
-import copy
 import importlib.util
 import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
-from .linalg import GFElement, clear_denominators, factor, nullspace, rank
+from .linalg import _echelon_mod_p, clear_denominators, factor, rank
 from .models import ConicFiber
-
-Scalar = Union[Fraction, GFElement]
 
 # Prime characteristics must lie below this bound: the modular Azumaya test
 # keeps residue products below 2^62 in int64.
 CHAR_BOUND = 2 ** 31
 
-# numpy serves only the Azumaya test. It is registered lazily, so `import
-# quivermod` does not pay its import; its code runs on the first Azumaya test.
+# numpy serves only the modular eliminations. It is registered lazily, so
+# `import quivermod` does not pay its import; its code runs on first use.
 if "numpy" not in sys.modules and (_spec := importlib.util.find_spec("numpy")) is not None:
     _spec.loader = importlib.util.LazyLoader(_spec.loader)
     sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
@@ -41,28 +39,25 @@ if "numpy" not in sys.modules and (_spec := importlib.util.find_spec("numpy")) i
 
 
 class QuadraticFormB:
-    """Quadratic form given by its coefficient matrix b (see module docstring)."""
+    """Quadratic form given by its coefficient matrix b (see module docstring).
+
+    Every scalar it stores or returns is a field element: a Fraction over Q,
+    an int in [0, p) over GF(p).
+    """
 
     def __init__(self, b: Sequence[Sequence], char: int = 0):
         size = len(b)
         if size < 1 or any(len(row) != size for row in b):
             raise ValueError("b must be a nonempty square matrix")
-        if char == 0:
-            mat = tuple(tuple(Fraction(x) for x in row) for row in b)
-        else:
-            if not 2 <= char < CHAR_BOUND or factor(char) != {char: 1}:
-                raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {char}")
-            zero = GFElement(char, 0)
-            mat = tuple(
-                tuple(x if isinstance(x, GFElement) else zero + x for x in row)
-                for row in b
-            )
+        if char and (not 2 <= char < CHAR_BOUND or factor(char) != {char: 1}):
+            raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {char}")
+        self.char = char
+        mat = tuple(tuple(self.scalar(x) for x in row) for row in b)
         for i in range(size):
             for j in range(size):
                 if mat[i][j] != mat[j][i]:
                     raise ValueError("b must be symmetric")
         self.b = mat
-        self.char = char
         self.size = size
 
     @property
@@ -70,37 +65,42 @@ class QuadraticFormB:
         """Quadric dimension: the form has n + 2 variables."""
         return self.size - 2
 
-    def zero(self) -> Scalar:
-        return Fraction(0) if self.char == 0 else GFElement(self.char, 0)
+    def scalar(self, x) -> Fraction | int:
+        """The int or rational x as an element of the field of the form."""
+        x, p = Fraction(x), self.char
+        if not p:
+            return x
+        if x.denominator % p == 0:
+            raise ZeroDivisionError(f"denominator divisible by {p}")
+        return x.numerator * pow(x.denominator, -1, p) % p
 
-    def one(self) -> Scalar:
-        return Fraction(1) if self.char == 0 else GFElement(self.char, 1)
+    def zero(self) -> Fraction | int:
+        return self.scalar(0)
 
-    def value(self, vec: Sequence) -> Scalar:
+    def one(self) -> Fraction | int:
+        return self.scalar(1)
+
+    def value(self, vec: Sequence) -> Fraction | int:
         if len(vec) != self.size:
             raise ValueError("vector length mismatch")
-        total = self.zero()
-        for i in range(self.size):
-            for j in range(i, self.size):
-                total = total + self.b[i][j] * vec[i] * vec[j]
-        return total
+        b = self.b
+        return self.scalar(sum(b[i][j] * vec[i] * vec[j]
+                               for i in range(self.size) for j in range(i, self.size)))
 
-    def polar(self, u: Sequence, v: Sequence) -> Scalar:
+    def polar(self, u: Sequence, v: Sequence) -> Fraction | int:
         """Phi(u, v) = Q(u + v) - Q(u) - Q(v), evaluated via the Gram matrix."""
         g = self.gram()
-        total = self.zero()
-        for i in range(self.size):
-            for j in range(self.size):
-                total = total + g[i][j] * u[i] * v[j]
-        return total
+        return self.scalar(sum(g[i][j] * u[i] * v[j]
+                               for i in range(self.size) for j in range(self.size)))
 
-    def gram(self) -> tuple[tuple[Scalar, ...], ...]:
+    def gram(self) -> tuple[tuple[Fraction | int, ...], ...]:
         return tuple(
-            tuple(self.b[i][j] if i != j else 2 * self.b[i][i] for j in range(self.size))
+            tuple(self.b[i][j] if i != j else self.scalar(2 * self.b[i][i])
+                  for j in range(self.size))
             for i in range(self.size)
         )
 
-    def diagonalize(self) -> tuple[list[Scalar], list[list[Scalar]]]:
+    def diagonalize(self) -> tuple[list, list[list]]:
         """Exact congruence diagonalization, characteristic != 2 only.
 
         Returns (coeffs, P) with Q(P w) = sum coeffs_i w_i^2. Pivoting is
@@ -110,26 +110,29 @@ class QuadraticFormB:
         """
         if self.char == 2:
             raise ValueError("diagonalization needs characteristic != 2")
-        size = self.size
+        size, p = self.size, self.char
         g = [list(row) for row in self.gram()]
         one, zero = self.one(), self.zero()
-        p = [[one if i == j else zero for j in range(size)] for i in range(size)]
+        mat = [[one if i == j else zero for j in range(size)] for i in range(size)]
 
-        def col_op(dst: int, src: int, factor: Scalar):
+        def red(x):
+            return x % p if p else x
+
+        def div(x, y):
+            return red(x * pow(y, -1, p)) if p else x / y
+
+        def col_op(dst: int, src: int, factor):
             # basis change v_dst <- v_dst + factor * v_src, applied symmetrically
-            for r in range(size):
-                g[r][dst] = g[r][dst] + factor * g[r][src]
-            for c in range(size):
-                g[dst][c] = g[dst][c] + factor * g[src][c]
-            for r in range(size):
-                p[r][dst] = p[r][dst] + factor * p[r][src]
+            for m in (g, mat):
+                for row in m:
+                    row[dst] = red(row[dst] + factor * row[src])
+            g[dst] = [red(x + factor * y) for x, y in zip(g[dst], g[src])]
 
         def swap(i: int, j: int):
-            for r in range(size):
-                g[r][i], g[r][j] = g[r][j], g[r][i]
+            for m in (g, mat):
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
             g[i], g[j] = g[j], g[i]
-            for r in range(size):
-                p[r][i], p[r][j] = p[r][j], p[r][i]
 
         for k in range(size):
             if g[k][k] == 0:
@@ -155,9 +158,8 @@ class QuadraticFormB:
             piv = g[k][k]
             for i in range(k + 1, size):
                 if g[k][i] != 0:
-                    col_op(i, k, -g[k][i] / piv)
-        coeffs = [g[i][i] / 2 for i in range(size)]
-        return coeffs, p
+                    col_op(i, k, div(-g[k][i], piv))
+        return [div(g[i][i], 2) for i in range(size)], mat
 
 
 def standard_form(n: int, char: int = 0) -> QuadraticFormB:
@@ -187,48 +189,65 @@ def is_smooth_quadric(q: QuadraticFormB) -> bool:
     line on which Q does not vanish. Characteristic 2 with n + 2 even: the
     polar form must be nonsingular.
     """
-    g = [list(row) for row in q.gram()]
+    if not q.char:
+        return rank(q.gram()) == q.size
+    import numpy as np
+
+    r, vec = _echelon_mod_p(np.array(q.gram(), dtype=np.int64), q.char)
     if q.char != 2 or q.size % 2 == 0:
-        return rank(g) == q.size
-    kernel = nullspace(g)
-    if len(kernel) != 1:
-        return False
-    return q.value(kernel[0]) != 0
+        return r == q.size
+    return r == q.size - 1 and q.value(vec) != 0
 
 
 class CliffordAlgebra:
-    """Clifford algebra of a QuadraticFormB on the bitmask-indexed basis."""
+    """Clifford algebra of a QuadraticFormB on the bitmask-indexed basis.
+
+    Products are computed on int scalars where the form allows: over GF(p) the
+    generator scalars are lifted to (-p/2, p/2] and each product is reduced to
+    [0, p) at the end; over Q an integral scalar is its int and any other stays
+    a Fraction.
+    """
 
     def __init__(self, q: QuadraticFormB):
         self.q = q
         self.size = q.size
         self.dim = 1 << q.size
-        self._sq = [q.b[i][i] for i in range(q.size)]
-        self._phi = q.gram()
-        self._one = q.one()
-        self._zero = q.zero()
-        self._gen_products: dict[tuple[int, int], tuple[tuple[int, Scalar], ...]] = {}
+        p = q.char
+        if p:
+            def lift(x):
+                return x - p if 2 * x > p else x
+        else:
+            def lift(x):
+                return x.numerator if x.denominator == 1 else x
+        self._sq = [lift(q.b[i][i]) for i in range(q.size)]
+        self._phi = [[lift(x) for x in row] for row in q.gram()]
+        self._gen_products: dict[tuple[int, int], tuple[tuple[int, object], ...]] = {}
 
-    def _mul_mask_gen(self, mask: int, i: int) -> tuple[tuple[int, Scalar], ...]:
-        """e_mask * e_i, normal ordered; memoised per algebra."""
+    def _reduced(self, acc: dict[int, object]) -> dict[int, object]:
+        """acc with its coefficients reduced to [0, p) over GF(p), zeros dropped."""
+        p = self.q.char
+        return {m: c % p for m, c in acc.items() if c % p} if p else acc
+
+    def _mul_mask_gen(self, mask: int, i: int) -> tuple[tuple[int, object], ...]:
+        """e_mask * e_i, normal ordered, on the lifted scalars; memoised per algebra."""
         cached = self._gen_products.get((mask, i))
         if cached is not None:
             return cached
         j = mask.bit_length() - 1  # largest generator present, -1 for the unit
         if j < i:
-            out = ((mask | (1 << i), self._one),)
+            out = ((mask | (1 << i), 1),)
         elif j == i:
             out = ((mask ^ (1 << i), self._sq[i]),)
         else:
             # e_j e_i = Phi(i, j) - e_i e_j
             rest = mask ^ (1 << j)
-            acc: dict[int, Scalar] = {}
+            acc: dict[int, object] = {}
             phi = self._phi[i][j]
             if phi != 0:
                 acc[rest] = phi
             for m2, c2 in self._mul_mask_gen(rest, i):
                 for m3, c3 in self._mul_mask_gen(m2, j):
-                    coeff = acc.get(m3, self._zero) - c2 * c3
+                    coeff = acc.get(m3, 0) - c2 * c3
                     if coeff == 0:
                         acc.pop(m3, None)
                     else:
@@ -237,70 +256,52 @@ class CliffordAlgebra:
         self._gen_products[(mask, i)] = out
         return out
 
-    def mul_basis(self, s: int, t: int) -> dict[int, Scalar]:
+    def mul_basis(self, s: int, t: int) -> dict[int, object]:
         """Product e_s * e_t as a sparse dict mask -> coefficient."""
-        acc: dict[int, Scalar] = {s: self._one}
+        acc: dict[int, object] = {s: 1}
         for i in range(self.size):
             if (t >> i) & 1:
-                nxt: dict[int, Scalar] = {}
+                nxt: dict[int, object] = {}
                 for m, c in acc.items():
                     for m2, c2 in self._mul_mask_gen(m, i):
-                        coeff = nxt.get(m2, self._zero) + c * c2
+                        coeff = nxt.get(m2, 0) + c * c2
                         if coeff == 0:
                             nxt.pop(m2, None)
                         else:
                             nxt[m2] = coeff
                 acc = nxt
-        return acc
+        return self._reduced(acc)
 
-    def multiply(self, x: dict[int, Scalar], y: dict[int, Scalar]) -> dict[int, Scalar]:
-        out: dict[int, Scalar] = {}
+    def multiply(self, x: dict[int, object], y: dict[int, object]) -> dict[int, object]:
+        out: dict[int, object] = {}
         for s, cx in x.items():
             for t, cy in y.items():
                 for m, c in self.mul_basis(s, t).items():
-                    coeff = out.get(m, self._zero) + cx * cy * c
+                    coeff = out.get(m, 0) + cx * cy * c
                     if coeff == 0:
                         out.pop(m, None)
                     else:
                         out[m] = coeff
-        return out
+        return self._reduced(out)
 
     def even_masks(self) -> list[int]:
         return [m for m in range(self.dim) if bin(m).count("1") % 2 == 0]
 
-    def _lifted(self, lift) -> "CliffordAlgebra":
-        """This algebra with lift(x) for every generator scalar x and the int
-        unit: the same products, computed on the scalars lift returns."""
-        alg = copy.copy(self)
-        alg._sq = [lift(x) for x in self._sq]
-        alg._phi = [[lift(x) for x in row] for row in self._phi]
-        alg._one, alg._zero, alg._gen_products = 1, 0, {}
-        return alg
-
     def even_part(self) -> "StructureConstantAlgebra":
-        """The even subalgebra, its table in the format of StructureConstantAlgebra.
-
-        The products are computed on the generator scalars lifted to ints:
-        GF(p) residues to (-p/2, p/2], integral rationals to their numerators;
-        other rationals stay Fractions.
-        """
+        """The even subalgebra, its table in the format of StructureConstantAlgebra."""
         masks = self.even_masks()
         index = {m: i for i, m in enumerate(masks)}
-        d, p = len(masks), self.q.char
-        if p:
-            alg = self._lifted(lambda x: x.v - p if 2 * x.v > p else x.v)
-        else:
-            alg = self._lifted(lambda x: x.numerator if x.denominator == 1 else x)
+        d = len(masks)
         table = []
         for s in masks:
             cells = []
             for t in masks:
                 row = [0] * d
-                for m, c in alg.mul_basis(s, t).items():
-                    row[index[m]] = c % p if p else c
+                for m, c in self.mul_basis(s, t).items():
+                    row[index[m]] = c
                 cells.append(tuple(row))
             table.append(tuple(cells))
-        return StructureConstantAlgebra(dim=d, table=tuple(table), char=p)
+        return StructureConstantAlgebra(dim=d, table=tuple(table), char=self.q.char)
 
 
 def build_clifford(q: QuadraticFormB) -> CliffordAlgebra:
@@ -393,39 +394,6 @@ def _central_simple_mod_p(c, env, p: int) -> bool:
     return np.array_equal(left, env)
 
 
-def _echelon_mod_p(a, p: int) -> tuple[int, Optional[list[int]]]:
-    """Rank of a 2-D int64 matrix of residues mod a prime p < 2^31, of any
-    shape (row operations stay below 2^62), eliminated in place, and one
-    kernel vector if some column has no pivot: 1 at the first such column, 0
-    after it, and back-substituted before it, where every pivot sits on the
-    diagonal.
-    """
-    import numpy as np
-
-    cols = a.shape[1]
-    r, free = 0, None
-    for col in range(cols):
-        nz = np.flatnonzero(a[r:, col])
-        if nz.size == 0:
-            free = col if free is None else free
-            continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        a[r, col:] = a[r, col:] * pow(int(a[r, col]), -1, p) % p
-        rest = a[r + 1:, col:]  # a view: columns left of col are already zero below row r
-        below = rest[:, 0] != 0
-        if below.any():
-            rest[below] = (rest[below] - np.outer(rest[below, 0], a[r, col:])) % p
-        r += 1
-    if free is None:
-        return r, None
-    vec = [0] * cols
-    vec[free] = 1
-    for k in range(free - 1, -1, -1):
-        row = a[k, k + 1:free + 1].tolist()
-        vec[k] = -sum(x * v for x, v in zip(row, vec[k + 1:free + 1])) % p
-    return r, vec
-
-
 def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
     """n/d with n*1 == a*d mod m, |n|, d <= sqrt(m/2), via half extended Euclid."""
     a %= m
@@ -456,7 +424,7 @@ def azumaya_certificate(alg: StructureConstantAlgebra) -> tuple[bool, str]:
     Over Q a kernel vector is CRT-accumulated over the primes that share the
     latest free column seen, and rationally reconstructed: zero under the
     exact matrix, it certifies a deficit, "kernel", False. When no prime
-    decides, Fraction rank does: "exact".
+    decides, the integer rank over Q (linalg.rank) does: "exact".
     """
     import numpy as np
 
@@ -541,8 +509,8 @@ def quaternion_from_ternary(q: QuadraticFormB) -> QuaternionAlgebra:
     if 0 in coeffs:  # the Gram matrix is congruent to diag(2 coeffs)
         raise ValueError("form is degenerate")
     alpha, beta, gamma = coeffs
-    u = -alpha * beta
-    v = -beta * gamma
+    u = q.scalar(-alpha * beta)
+    v = q.scalar(-beta * gamma)
     diag = QuadraticFormB(
         [[alpha, 0, 0], [0, beta, 0], [0, 0, gamma]], char=q.char
     )
@@ -556,11 +524,11 @@ def quaternion_from_ternary(q: QuadraticFormB) -> QuaternionAlgebra:
     if ii != {one_mask: u} or jj != {one_mask: v}:
         raise AssertionError("even Clifford structure constants disagree with (u, v)")
     k_elem = ij
-    k_neg = {m: -c for m, c in ji.items()}
+    k_neg = {m: q.scalar(-c) for m, c in ji.items()}
     if k_elem != k_neg:
         raise AssertionError("i j != -j i in the even Clifford algebra")
     kk = cl.multiply(k_elem, k_elem)
-    if kk != {one_mask: -u * v}:
+    if kk != {one_mask: q.scalar(-u * v)}:
         raise AssertionError("(i j)^2 != -u v in the even Clifford algebra")
     return QuaternionAlgebra(u, v)
 

@@ -1,144 +1,105 @@
-"""Small exact linear algebra over an arbitrary field, and the integer helpers
-the other modules share: bounded factoring and clearing denominators.
+"""Exact linear algebra at small sizes, and the integer helpers the other
+modules share: bounded factoring and clearing denominators.
 
-Elimination works over Fraction (characteristic 0; int entries are coerced to
-Fraction) and over GFElement (prime fields). No floating point anywhere.
+There are two eliminations, both on integers. Over Q, rank and nullspace
+clear each row's denominators and eliminate fraction-free (Bareiss, Math.
+Comp. 22, 1968). Over GF(p), _echelon_mod_p eliminates int64 residues with
+numpy. No floating point anywhere.
 """
 from __future__ import annotations
 
 import math
-from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 
-class GFElement:
-    """An element of the prime field Z/p. Arithmetic stays exact mod p."""
+def _bareiss(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free row echelon form of a rational matrix, and its pivot
+    columns.
 
-    __slots__ = ("p", "v")
-
-    def __init__(self, p: int, v: int):
-        self.p = p
-        self.v = v % p
-
-    def _coerce(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise ValueError("mixed characteristics")
-            return other
-        if isinstance(other, int):
-            return GFElement(self.p, other)
-        if isinstance(other, Fraction):
-            if other.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return GFElement(self.p, other.numerator * pow(other.denominator, -1, self.p))
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else GFElement(self.p, self.v + o.v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else GFElement(self.p, self.v - o.v)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else GFElement(self.p, o.v - self.v)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return NotImplemented if o is NotImplemented else GFElement(self.p, self.v * o.v)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        if o.v == 0:
-            raise ZeroDivisionError("division by zero in GF(p)")
-        return GFElement(self.p, self.v * pow(o.v, self.p - 2, self.p))
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GFElement(self.p, -self.v)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.v == other.v
-        if isinstance(other, int):
-            return self.v == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-
-def rref(rows: Sequence[Sequence]) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form. Returns (matrix, pivot column indices).
-
-    Entries that are not GFElement are coerced to Fraction, so integer input
-    is eliminated exactly rather than by float division.
+    Each row is first scaled to integers, which keeps rank and kernel. Each
+    step divides exactly by the previous pivot, so every entry stays a minor
+    of the scaled matrix and no entry outgrows Hadamard's bound.
     """
-    field = (Fraction, GFElement)
-    mat = [[x if isinstance(x, field) else Fraction(x) for x in row] for row in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+    mat = [clear_denominators(row) for row in rows]
     pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
+    prev = 1
+    for col in range(len(mat[0]) if mat else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
+        top = mat[r][col:]
+        d = top[0]
+        for row in mat[r + 1:]:
+            a = row[col]
+            row[col:] = [(d * x - a * y) // prev for x, y in zip(row[col:], top)]
+        # a zero row stays zero: dropping it lets the loop stop at the rank
+        mat[r + 1:] = [row for row in mat[r + 1:] if any(row)]
+        prev = d
         pivots.append(col)
-        r += 1
-        if r == len(mat):
+        if r + 1 == len(mat):
             break
     return mat, pivots
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    return len(rref(rows)[1])
+    """Rank over Q of a matrix of ints and Fractions."""
+    return len(_bareiss(rows)[1])
 
 
-def nullspace(rows: Sequence[Sequence]) -> list[list]:
-    """Basis of the right kernel, in the field of the eliminated entries."""
-    mat, pivots = rref(rows)
+def nullspace(rows: Sequence[Sequence]) -> list[list[int]]:
+    """Basis of the right kernel over Q of a matrix of ints and Fractions: per
+    column without a pivot, the kernel vector that is 0 at the other such
+    columns, as a primitive integer vector with positive first nonzero entry.
+    """
+    mat, pivots = _bareiss(rows)
     ncols = len(rows[0]) if rows else 0
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return []
-    zero = mat[0][0] * 0
-    one = zero + 1
     basis = []
-    for fc in free:
-        vec = [zero] * ncols
-        vec[fc] = one
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
+    for free in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[free] = 1
+        # back-substitute, scaling the vector so that it stays integral
+        for row, pc in reversed(list(zip(mat, pivots))):
+            s = sum(x * v for x, v in zip(row[pc + 1:], vec[pc + 1:]))
+            g = math.gcd(s, row[pc])
+            vec = [v * (row[pc] // g) for v in vec]
+            vec[pc] = -s // g
+        basis.append(list(primitive_int_vector(vec)))
     return basis
+
+
+def _echelon_mod_p(a, p: int) -> tuple[int, Optional[list[int]]]:
+    """Rank of a 2-D int64 matrix of residues mod a prime p < 2^31, of any
+    shape (row operations stay below 2^62), eliminated in place, and one
+    kernel vector if some column has no pivot: 1 at the first such column, 0
+    after it, and back-substituted before it, where every pivot sits on the
+    diagonal.
+    """
+    import numpy as np
+
+    cols = a.shape[1]
+    r, free = 0, None
+    for col in range(cols):
+        nz = np.flatnonzero(a[r:, col])
+        if nz.size == 0:
+            free = col if free is None else free
+            continue
+        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        a[r, col:] = a[r, col:] * pow(int(a[r, col]), -1, p) % p
+        rest = a[r + 1:, col:]  # a view: columns left of col are already zero below row r
+        below = rest[:, 0] != 0
+        if below.any():
+            rest[below] = (rest[below] - np.outer(rest[below, 0], a[r, col:])) % p
+        r += 1
+    if free is None:
+        return r, None
+    vec = [0] * cols
+    vec[free] = 1
+    for k in range(free - 1, -1, -1):
+        row = a[k, k + 1:free + 1].tolist()
+        vec[k] = -sum(x * v for x, v in zip(row, vec[k + 1:free + 1])) % p
+    return r, vec
 
 
 def clear_denominators(vec: Sequence) -> list[int]:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import det3, mat_vec, nullspace, primitive_int_vector, rank
+from .linalg import clear_denominators, det3, mat_vec, nullspace, rank
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 Vec2 = tuple[Fraction, Fraction]
@@ -64,6 +64,17 @@ def mat2_trace(x: Mat2) -> Fraction:
 def mat2_traceless(x: Mat2) -> Mat2:
     t = mat2_trace(x) / 2
     return ((x[0][0] - t, x[0][1]), (x[1][0], x[1][1] - t))
+
+
+def _int_mat2(rows: Sequence[Sequence]) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The 2x2 rational matrix times the lcm of its entries' denominators.
+
+    Scaling one matrix of a tuple by a nonzero constant scales each word in
+    it, each pair form det(Xv|Yv) and each kernel and image equation by a
+    nonzero constant, so spans, ranks and common roots stay as they are.
+    """
+    a, b, c, d = clear_denominators([x for row in mat2(rows) for x in row])
+    return ((a, b), (c, d))
 
 
 def det_cols(u: Vec2, w: Vec2) -> Fraction:
@@ -174,8 +185,8 @@ def burnside_dimension(matrices: Sequence[Sequence[Sequence]]) -> int:
     Length 3 saturates generation questions in 2x2 matrices, so the value is 4
     exactly when the tuple has no common invariant line over the closure.
     """
-    mats = [mat2(m) for m in matrices]
-    ident: Mat2 = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    mats = [_int_mat2(m) for m in matrices]
+    ident = ((1, 0), (0, 1))
     words = [ident]
     layer = [ident]
     for _ in range(3):
@@ -264,9 +275,7 @@ def k3_conic(p: K3Point) -> ConicFiber:
 
 def _pair_form(x: Mat2, y: Mat2) -> tuple[Fraction, ...]:
     """det(Xv|Yv) as a binary quadratic form in v = (s, t): coefficients on s^2, s t, t^2."""
-    e1: Vec2 = (Fraction(1), Fraction(0))
-    e2: Vec2 = (Fraction(0), Fraction(1))
-    both: Vec2 = (Fraction(1), Fraction(1))
+    e1, e2, both = (1, 0), (0, 1), (1, 1)
     alpha = det_cols(mat_vec(x, e1), mat_vec(y, e1))
     gamma = det_cols(mat_vec(x, e2), mat_vec(y, e2))
     beta = det_cols(mat_vec(x, both), mat_vec(y, both)) - alpha - gamma
@@ -333,8 +342,9 @@ def k3_destabilizer(
       (1, 0): the stacked 6x2 matrix has a common kernel line;
       (2, 1): the 2x6 concatenation has rank <= 1 (all images in one line);
       (1, 1): the three pairwise determinant forms share a projective root.
+    Each type is read on the matrices scaled to integers (_int_mat2).
     """
-    A, B, C = mat2(a_mat), mat2(b_mat), mat2(c_mat)
+    A, B, C = _int_mat2(a_mat), _int_mat2(b_mat), _int_mat2(c_mat)
     if all(x == 0 for m in (A, B, C) for row in m for x in row):
         return (2, 0)
     stacked = [[m[i][0], m[i][1]] for m in (A, B, C) for i in range(2)]
@@ -365,7 +375,7 @@ def fit_conic(points: Sequence[tuple[Fraction, Fraction, Fraction]]) -> Optional
     kernel = nullspace(rows)
     if len(kernel) != 1:
         return None
-    coeffs = [Fraction(c) for c in primitive_int_vector(kernel[0])]
+    coeffs = [Fraction(c) for c in kernel[0]]
     return ConicFiber(xx=coeffs[0], yy=coeffs[1], zz=coeffs[2], xy=coeffs[3], xz=coeffs[4], yz=coeffs[5])
 
 

@@ -364,3 +364,4 @@ class TestCaseAnalysisScript:
         out = self.script("--kronecker-m-max", "2")
         assert out.returncode == 2
         assert out.stderr == "error: kronecker scan needs a nonempty m-range and box\n"
+        assert out.stdout == ""

@@ -2,13 +2,17 @@ import itertools
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
+import field_oracle
 import pytest
+from field_oracle import FieldForm, lifted
 from hypothesis import assume, given, settings, strategies as st
 
 import quivermod.clifford as clifford_module
+from quivermod import linalg
 from quivermod.clifford import (
     QuadraticFormB,
     QuaternionAlgebra,
@@ -22,7 +26,6 @@ from quivermod.clifford import (
     quaternion_from_ternary,
     standard_form,
 )
-from quivermod.linalg import GFElement, rank
 from quivermod.models import ConicFiber
 
 
@@ -82,12 +85,12 @@ class TestQuadraticFormB:
 
     def test_char_p_value(self):
         q = QuadraticFormB([[1, 2], [2, 3]], char=5)
-        assert q.value((1, 1)) == GFElement(5, 1)
+        assert q.value((1, 1)) == 1
 
     def test_fraction_entries_in_char_p(self):
         q = QuadraticFormB([[Fraction(1, 2)]], char=5)
         # 1/2 = 3 mod 5
-        assert q.b[0][0] == GFElement(5, 3)
+        assert q.b[0][0] == 3
 
     @given(symmetric_b(3), st.tuples(small, small, small), st.tuples(small, small, small))
     def test_polarization_identity(self, b, u, v):
@@ -99,7 +102,7 @@ class TestQuadraticFormB:
     def test_polarization_identity_char_p(self, b, u, v):
         q = QuadraticFormB(b, char=5)
         uv = tuple(x + y for x, y in zip(u, v))
-        assert q.polar(u, v) == q.value(uv) - q.value(u) - q.value(v)
+        assert q.polar(u, v) == (q.value(uv) - q.value(u) - q.value(v)) % 5
 
 
 class TestStandardForm:
@@ -119,7 +122,7 @@ class TestStandardForm:
     def test_char2(self):
         q = standard_form(1, char=2)
         assert q.char == 2
-        assert q.b[0][1] == GFElement(2, 1)
+        assert q.b[0][1] == 1
 
     def test_negative_n(self):
         with pytest.raises(ValueError):
@@ -157,9 +160,7 @@ class TestDiagonalize:
         size = q.size
         for w in ws:
             pw = [sum(p[r][c] * w[c] for c in range(size)) for r in range(size)]
-            expected = q.zero()
-            for i in range(size):
-                expected = expected + coeffs[i] * w[i] * w[i]
+            expected = q.scalar(sum(coeffs[i] * w[i] * w[i] for i in range(size)))
             assert q.value(pw) == expected
 
     @given(symmetric_b(3))
@@ -268,14 +269,13 @@ class TestCliffordAlgebra:
 
 def enveloping_rank_oracle(alg):
     """Rank of the enveloping matrix by plain loops over the table's field:
-    GFElement over GF(alg.char), Fraction over Q.
+    GFElement over GF(alg.char), Fraction over Q, eliminated by the oracle rref.
 
     Entry (k_out, k_in), (i, j) is the e_k_out coefficient of (e_i e_k_in) e_j;
     the library brackets the product the other way, e_i (e_k_in e_j).
     """
     d, p = alg.dim, alg.char
-    t = [[[GFElement(p, x) if p else Fraction(x) for x in cell] for cell in row]
-         for row in alg.table]
+    t = [[[lifted(x, p) for x in cell] for cell in row] for row in alg.table]
     zero = t[0][0][0] * 0
     rows = []
     for k_out in range(d):
@@ -289,7 +289,7 @@ def enveloping_rank_oracle(alg):
                             total = total + t[i][k_in][m] * t[m][j][k_out]
                     row.append(total)
             rows.append(row)
-    return rank(rows)
+    return field_oracle.rank(rows)
 
 
 def enveloping_rank_mod(alg, q):
@@ -492,6 +492,19 @@ class TestAzumaya:
         assert calls == {"envelope": [3, None], "rank": 1}
         assert azumaya_certificate(even) == (True, "exact")
 
+    def test_certificate_exact_fallback_quinary(self, monkeypatch):
+        # the one prime, 3, rebuilds a kernel vector that the exact matrix does
+        # not annihilate, so the rank over Q of the 256 x 256 envelope decides
+        b = [[0, 0, 0, -1, -2], [0, 0, 0, 0, -2], [0, 0, 0, -2, 2], [-1, 0, -2, -2, 0],
+             [-2, -2, 2, 0, 0]]
+        even = build_clifford(QuadraticFormB(b)).even_part()
+        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (3,))
+        start = time.perf_counter()
+        verdict, name = azumaya_certificate(even)
+        elapsed = time.perf_counter() - start
+        assert name == "exact" and elapsed < 3.0
+        assert verdict == (enveloping_rank_oracle(even) == even.dim ** 2)
+
     @given(azumaya_inputs(max_size=5))
     @settings(max_examples=30, deadline=None)
     def test_central_simple_verdict_is_sound(self, inp):
@@ -513,11 +526,11 @@ class TestAzumaya:
         t[1][2][0] += 1
         alg = StructureConstantAlgebra(
             dim=d, table=tuple(tuple(tuple(cell) for cell in row) for row in t), char=0)
-        assert rank([[t[k][x][s] - t[x][k][s] for k in range(d)]
-                     for x in range(d) for s in range(d)]) == d - 1
+        assert linalg.rank([[t[k][x][s] - t[x][k][s] for k in range(d)]
+                            for x in range(d) for s in range(d)]) == d - 1
         trace = [sum(t[m][s][s] for s in range(d)) for m in range(d)]
-        assert rank([[sum(t[x][y][m] * trace[m] for m in range(d)) for y in range(d)]
-                     for x in range(d)]) == d
+        assert linalg.rank([[sum(t[x][y][m] * trace[m] for m in range(d)) for y in range(d)]
+                            for x in range(d)]) == d
         assert any(sum(t[i][k][m] * t[m][j][s] - t[k][j][m] * t[i][m][s] for m in range(d))
                    for i, k, j, s in itertools.product(range(d), repeat=4))
         verdict, name = azumaya_certificate(alg)
@@ -568,8 +581,8 @@ class TestAzumaya:
         a = [[(sum(x * y for x, y in zip(row, col)) + (rnd.random() < 0.1)) % p
               for col in zip(*right)] if k else [int(rnd.random() < 0.1) for _ in range(cols)]
              for row in left]
-        r, vec = clifford_module._echelon_mod_p(np.array(a, dtype=np.int64), p)
-        assert r == rank([[GFElement(p, x) for x in row] for row in a])
+        r, vec = linalg._echelon_mod_p(np.array(a, dtype=np.int64), p)
+        assert r == field_oracle.rank([[lifted(x, p) for x in row] for row in a])
         assert (vec is None) == (r == cols)
         if vec is not None:
             assert all(sum(x * v for x, v in zip(row, vec)) % p == 0 for row in a)
@@ -611,6 +624,50 @@ class TestAzumaya:
         q = QuadraticFormB(b, char=5)
         even = build_clifford(q).even_part()
         assert is_azumaya_over_field(even) == is_smooth_quadric(q)
+
+
+ORACLE_PRIMES = [2, 3, 5, 65537, 2 ** 31 - 1]
+
+
+class TestFormAgainstFieldOracle:
+    """The int residues of QuadraticFormB against the same computation on
+    GFElement scalars."""
+
+    @given(st.integers(1, 5), st.sampled_from(ORACLE_PRIMES), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_gfelement(self, size, p, data):
+        b = data.draw(symmetric_b(size))
+        den = data.draw(st.sampled_from([1, 1, 2, 3]))
+        b = [[Fraction(x, den) for x in row] for row in b]
+        if any(x.denominator % p == 0 for row in b for x in row):
+            for make in (QuadraticFormB, FieldForm):
+                with pytest.raises(ZeroDivisionError, match=f"^denominator divisible by {p}$"):
+                    make(b, char=p)
+            return
+        q, oracle = QuadraticFormB(b, char=p), FieldForm(b, char=p)
+        vec = st.lists(st.integers(-10 ** 12, 10 ** 12), min_size=size, max_size=size)
+        u, v = data.draw(vec), data.draw(vec)
+
+        def residues(xs):
+            return [x.v for x in xs]
+
+        assert [list(row) for row in q.b] == [residues(row) for row in oracle.b]
+        assert q.value(u) == oracle.value(u).v
+        assert q.polar(u, v) == oracle.polar(u, v).v
+        assert is_smooth_quadric(q) == oracle.is_smooth()
+        out = [q.value(u), q.polar(u, v)] + [x for row in q.gram() for x in row]
+        if p != 2:
+            coeffs, mat = q.diagonalize()
+            expected_coeffs, expected_mat = oracle.diagonalize()
+            assert coeffs == residues(expected_coeffs)
+            assert [list(row) for row in mat] == [residues(row) for row in expected_mat]
+            out += coeffs + [x for row in mat for x in row]
+            if size == 3 and 0 not in coeffs:
+                c0, c1, c2 = expected_coeffs
+                quat = quaternion_from_ternary(q)
+                assert (quat.u, quat.v) == ((-c0 * c1).v, (-c1 * c2).v)
+                out += [quat.u, quat.v]
+        assert all(type(x) is int and 0 <= x < p for x in out)
 
 
 class TestQuaternionExtraction:

@@ -1,18 +1,20 @@
+import math
 from fractions import Fraction
 
+import field_oracle
 import pytest
+from field_oracle import GFElement, rref
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
 from quivermod.cli import main
 from quivermod.linalg import (
     FACTOR_BOUND,
-    GFElement,
     clear_denominators,
     factor,
     nullspace,
+    primitive_int_vector,
     rank,
-    rref,
 )
 
 SEMIPRIME = 1000000016000000063  # 1000000007 * 1000000009, both above FACTOR_BOUND
@@ -27,15 +29,63 @@ class TestElimination:
         assert all(isinstance(x, Fraction) for row in mat for x in row)
 
     def test_nullspace_takes_the_unit_from_the_entries(self):
-        assert nullspace([[1, 2], [2, 4]]) == [[Fraction(-2), Fraction(1)]]
-        one, zero = GFElement(2, 1), GFElement(2, 0)
-        kernel = nullspace([[one, one, zero]])
-        assert kernel == [[one, one, zero], [zero, zero, one]]
-        assert all(isinstance(x, GFElement) for vec in kernel for x in vec)
+        assert nullspace([[1, 2], [2, 4]]) == [[2, -1]]
+        assert nullspace([[Fraction(1, 2), Fraction(1, 3)]]) == [[2, -3]]
 
     def test_nullspace_of_injective_map_is_empty(self):
         assert nullspace([[1, 0], [0, 1]]) == []
         assert nullspace([]) == []
+
+
+@st.composite
+def rational_matrices(draw):
+    """Rational matrices of 0 to 8 rows and columns. Rows are drawn plain, as
+    copies or multiples of earlier rows, or zero, with entries up to 10^17 in
+    absolute value and optional denominators."""
+    nrows, ncols = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    big = draw(st.booleans())
+    entry = st.builds(
+        Fraction,
+        st.integers(-10**17, 10**17) if big else st.integers(-3, 3),
+        st.sampled_from([1, 1, 1, 2, 3, 7, 10**17 + 3]),
+    )
+    rows = []
+    for _ in range(nrows):
+        kind = draw(st.sampled_from(["plain", "plain", "copy", "multiple", "zero"]))
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        elif kind == "plain" or not rows:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+        else:
+            src = draw(st.sampled_from(rows))
+            scale = Fraction(1) if kind == "copy" else draw(entry)
+            rows.append([scale * x for x in src])
+    if draw(st.booleans()):
+        rows = [[x.numerator if x.denominator == 1 else x for x in row] for row in rows]
+    return rows
+
+
+class TestBareissAgainstFractionOracle:
+    @given(rational_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_and_nullspace(self, rows):
+        expected = field_oracle.nullspace(rows)
+        assert rank(rows) == field_oracle.rank(rows)
+        kernel = nullspace(rows)
+        # both normalise each basis vector to 0 at the other free columns, so
+        # each is the oracle's vector made primitive
+        assert kernel == [list(primitive_int_vector(v)) for v in expected]
+        for vec in kernel:
+            assert all(type(x) is int for x in vec)
+            assert math.gcd(*vec) == 1
+            assert next(x for x in vec if x) > 0
+            assert all(sum(a * x for a, x in zip(row, vec)) == 0 for row in rows)
+
+    def test_oracle_nullspace_takes_the_unit_from_the_entries(self):
+        one, zero = GFElement(2, 1), GFElement(2, 0)
+        kernel = field_oracle.nullspace([[one, one, zero]])
+        assert kernel == [[one, one, zero], [zero, zero, one]]
+        assert all(isinstance(x, GFElement) for vec in kernel for x in vec)
 
 
 class TestFactor:
