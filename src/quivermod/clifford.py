@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import _echelon_mod_p, clear_denominators, factor, rank
+from .linalg import _echelon_mod_p, clear_denominators, is_prime, rank
 from .models import ConicFiber
 
 # Prime characteristics must lie below this bound: the modular Azumaya test
@@ -49,7 +49,7 @@ class QuadraticFormB:
         size = len(b)
         if size < 1 or any(len(row) != size for row in b):
             raise ValueError("b must be a nonempty square matrix")
-        if char and (not 2 <= char < CHAR_BOUND or factor(char) != {char: 1}):
+        if char and (not 2 <= char < CHAR_BOUND or not is_prime(char)):
             raise ValueError(f"characteristic must be 0 or a prime below 2^31, got {char}")
         self.char = char
         mat = tuple(tuple(self.scalar(x) for x in row) for row in b)
@@ -321,150 +321,138 @@ class StructureConstantAlgebra:
     char: int
 
 
-_AZUMAYA_PRIMES = (2147483629, 2147483587, 2147483563)
+# Over Q the Azumaya test first works modulo this prime.
+_AZUMAYA_PRIME = 2147483629
+
+
+def _tensor(ints: list[int], d: int, p: Optional[int] = None):
+    """The d^3 tensor of the ints, as int64 residues of absolute value at most
+    p/2 if p is given. Without p it is int64 if d^2 max|c|^2 < 2^63, which
+    keeps every sum the Azumaya test takes of it exact, and Python ints if not."""
+    import numpy as np
+
+    top = max(map(abs, ints))
+    c = np.array(ints, dtype=np.int64 if top < 2 ** 62 else object).reshape(d, d, d)
+    if p:
+        return ((c + p // 2) % p - p // 2).astype(np.int64)
+    return c if d * d * top * top < 2 ** 63 else c.astype(object)
 
 
 def _matmul_mod(x, y, p: Optional[int] = None):
-    """x @ y for integer matrices with an inner dimension of at most 64.
-
-    With p = None the product is exact (Python ints). With a prime p < 2^31 it
-    is taken mod p in int64: y is split into 16-bit limbs, so every partial
-    sum stays below 2^31 * 2^16 * 64 = 2^53, where a plain product of
-    residues near 2^31 would overflow.
-    """
+    """x @ y for integer matrices with an inner dimension k of at most 64: exact
+    with p = None, else congruent to it mod p. int64 input with
+    k max|x| max|y| < 2^63 is multiplied directly; otherwise, mod a prime
+    p < 2^31, y is split into 16-bit limbs of its residues, so every partial
+    sum stays below 2^31 * 2^16 * 64 = 2^53."""
     import numpy as np
 
-    if p is None:
+    if p is None or object not in (x.dtype, y.dtype) and (
+            x.shape[1] * int(abs(x).max(initial=0)) * int(abs(y).max(initial=0)) < 2 ** 63):
         return x @ y
     x, y = (x % p).astype(np.int64), (y % p).astype(np.int64)
     return (x @ (y & 0xFFFF) + ((x @ (y >> 16)) % p << 16)) % p
 
 
 def _envelope(c, p: Optional[int] = None):
-    """Matrix of the enveloping map from a dim^3 integer tensor c of structure constants.
-
-    Column (i, j) is e_i (x) e_j and row (s, t) holds the e_s coefficient of
-    e_i (e_t e_j): exact Python ints with p = None, residues in int64 with a
-    prime p < 2^31 (see _matmul_mod).
-    """
+    """Matrix of the enveloping map of the dim^3 integer tensor c: column (i, j)
+    is e_i (x) e_j, and row (s, t) holds the e_s coefficient of e_i (e_t e_j),
+    exact or mod p as _matmul_mod gives it."""
     d = c.shape[0]
     x = c.transpose(0, 2, 1).reshape(d * d, d)  # x[(i, s), m] = c[i, m, s]
     y = c.transpose(2, 0, 1).reshape(d, d * d)  # y[m, (t, j)] = c[t, j, m]
-    prod = _matmul_mod(x, y, p)
-    return prod.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(d * d, d * d)
+    return _matmul_mod(x, y, p).reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(d * d, d * d)
 
 
-def _central_simple_mod_p(c, env, p: int) -> bool:
-    """Is the algebra with structure constants c central simple over GF(p)?
-
-    c is a dim^3 int64 tensor of residues mod p, and env is _envelope(c, p).
-    True only if all three checks hold mod p:
-    - the centre {z : z e_x = e_x z for all x}, the kernel of the
-      d^2 x d system sum_k z_k (c[k,x,s] - c[x,k,s]) = 0, has dimension 1;
-    - the trace form T(x, y) = tr(L_xy), T[x,y] = sum_m c[x,y,m] sum_s c[m,s,s],
-      has rank d;
-    - the algebra is associative: (e_i e_t) e_j, from one more product,
-      equals e_i (e_t e_j), which env holds.
-    Then env has full rank d^2 mod p, and so has the integer matrix over Q
-    that it reduces (a rank over Q is at least the rank mod p). Proof: the
-    Jacobson radical J of an associative finite-dimensional algebra A is a
-    nilpotent ideal, so for x in J and every y, xy lies in J, L_xy is nilpotent
-    and T(x, y) = 0; a nondegenerate T forces J = 0. By Wedderburn-Artin and
-    Wedderburn's little theorem, A is then a product of matrix algebras
-    M_n(F) over finite fields F containing GF(p), with a unit (Pierce,
-    Associative Algebras, GTM 88). Its centre is the product of those F, so
-    dimension 1 leaves A = M_n(GF(p)), a central simple algebra, whose
-    enveloping map A (x) A^op -> End(A) is an isomorphism.
-
-    A False proves nothing. The even Clifford algebra of a smooth odd-rank
-    form is M_n(GF(p)) with n a power of 2, so in characteristic 2 its trace
-    form n * trd vanishes and the elimination decides instead.
-    """
-    import numpy as np
-
+def _associative(c, env, p: Optional[int] = None) -> bool:
+    """(e_i e_t) e_j == e_i (e_t e_j), held by env = _envelope(c, p): exactly, or mod p."""
     d = c.shape[0]
-    centre = (c.transpose(1, 2, 0) - c.transpose(0, 2, 1)).reshape(d * d, d) % p
-    if _echelon_mod_p(centre, p)[0] != d - 1:
-        return False
-    trace = c.trace(axis1=1, axis2=2).reshape(d, 1)  # tr L_{e_m}; below 2^37
-    if _echelon_mod_p(_matmul_mod(c.reshape(d * d, d), trace, p).reshape(d, d), p)[0] != d:
-        return False
     left = _matmul_mod(c.reshape(d * d, d), c.reshape(d, d * d), p)  # [(i,t),(j,s)]
-    left = left.reshape(d, d, d, d).transpose(3, 1, 0, 2).reshape(d * d, d * d)
-    return np.array_equal(left, env)
+    diff = left.reshape(d, d, d, d).transpose(3, 1, 0, 2) - env.reshape(d, d, d, d)
+    return not (diff % p if p else diff).any()
 
 
-def _rational_reconstruct(a: int, m: int) -> Optional[Fraction]:
-    """n/d with n*1 == a*d mod m, |n|, d <= sqrt(m/2), via half extended Euclid."""
-    a %= m
-    bound = math.isqrt(m // 2)
-    r0, r1 = m, a
-    t0, t1 = 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        t0, t1 = t1, t0 - q * t1
-    if t1 != 0 and abs(t1) <= bound and math.gcd(r1, abs(t1)) == 1:
-        return Fraction(r1, t1)
-    return None
+def _centre_and_trace(c, p: Optional[int] = None):
+    """The d^2 x d system sum_k z_k (c[k,x,s] - c[x,k,s]) = 0 of the centre, and
+    the trace form T[x,y] = tr L_{e_x e_y} = sum_m c[x,y,m] sum_s c[m,s,s]."""
+    d = c.shape[0]
+    trace = c.trace(axis1=1, axis2=2).reshape(d, 1)  # tr L_{e_m}
+    return ((c.transpose(1, 2, 0) - c.transpose(0, 2, 1)).reshape(d * d, d),
+            _matmul_mod(c.reshape(d * d, d), trace, p).reshape(d, d))
+
+
+def _rank_mod(a, p: int) -> int:
+    return _echelon_mod_p((a % p).astype("int64"), p)[0]
 
 
 def azumaya_certificate(alg: StructureConstantAlgebra) -> tuple[bool, str]:
     """Is the enveloping map alg (x) alg-op -> End(alg) bijective, and which
     certificate decided it?
 
-    Decided on the structure constants as an integer tensor: residues over
-    GF(p); over Q, the constants times the lcm of their denominators, which
-    keeps rank and kernel. Each prime visited (the characteristic over GF(p),
-    each of _AZUMAYA_PRIMES over Q) tries, in order:
-    - "central-simple": the constants mod p define a central simple algebra
-      (_central_simple_mod_p), so the map's matrix has full rank; True.
-    - "full-rank": the matrix, eliminated mod p, has full rank; True.
-    Over GF(p) a rank deficit of that elimination is exact: "kernel", False.
-    Over Q a kernel vector is CRT-accumulated over the primes that share the
-    latest free column seen, and rationally reconstructed: zero under the
-    exact matrix, it certifies a deficit, "kernel", False. When no prime
-    decides, the integer rank over Q (linalg.rank) does: "exact".
-    """
-    import numpy as np
+    The constants are read as integers: residues over GF(p); over Q, times the
+    lcm l of their denominators (x -> l x maps the algebra onto the scaled
+    one). d = 0 is "full-rank", True. Mod p (the characteristic, or
+    _AZUMAYA_PRIME over Q), associativity, a centre (the kernel of a d^2 x d
+    system) of dimension 1 and a trace form T(x, y) = tr L_xy of rank d give
+    "central-simple", True. Otherwise an associative table is decided by the
+    same checks: over GF(p), "centre" (False) for a centre of dimension != 1,
+    and "trace-radical" (False) if d is not a square n^2 or p does not divide
+    n; over Q, exactly, "trace-radical" (False) for a degenerate T, "centre"
+    (False) for a centre of dimension != 1, else "central-simple". The rest
+    eliminate the d^2 x d^2 matrix of the map: mod p, "full-rank" (True) or,
+    over GF(p), "kernel" (False); over Q its exact rank decides, "exact".
 
-    d, char, n = alg.dim, alg.char, alg.dim ** 2
+    Why, for an associative A over F. A nondegenerate T leaves no Jacobson
+    radical J (L_xy is nilpotent for x in J), so A is a product of simple
+    algebras with a unit, whose centres make its centre (Wedderburn-Artin;
+    Pierce, Associative Algebras, GTM 88); a centre F makes it central simple,
+    with a bijective map: full rank mod p, so over Q. Conversely, if the map
+    is bijective, the ideals are subspaces that End(A) preserves and A = AAA,
+    so A is simple with J = 0 and a unit, and L_z for central z commutes with
+    End(A), so z is a scalar: a centre other than F means False. In
+    characteristic 0 the radical of T is an ideal with tr L_x^k = 0 for all
+    k, a nil ideal, nonzero if T is degenerate (Dieudonne): False. Over GF(p)
+    a central simple A is M_n(GF(p)), d = n^2, with T = n trd: a degenerate T
+    with d not a square or p not dividing n means False. The even Clifford
+    algebra of a smooth odd-rank form is M_n, n a power of 2, so in
+    characteristic 2 the elimination decides.
+    """
+    d, char = alg.dim, alg.char
     if d > 64:
         raise ValueError(f"capacity: algebra dimension {d} exceeds 64")
     if char >= CHAR_BOUND:
         raise ValueError(f"characteristic {char} is not below 2^31")
+    if d == 0:
+        return True, "full-rank"
     flat = [x for row in alg.table for cell in row for x in cell]
-    flat = [x % char for x in flat] if char else clear_denominators(flat)
-    c = np.array(flat, dtype=object).reshape(d, d, d)
-    exact, modulus, acc, free = None, 1, [0] * n, None
-    for p in (char,) if char else _AZUMAYA_PRIMES:
-        residues = (c % p).astype(np.int64)
-        env = _envelope(residues, p)
-        if _central_simple_mod_p(residues, env, p):
-            return True, "central-simple"
-        r, vec = _echelon_mod_p(env, p)
-        if r == n:
+    ints = [x % char for x in flat] if char else clear_denominators(flat)
+    p = char or _AZUMAYA_PRIME
+    c = _tensor(ints, d, p)
+    env = _envelope(c, p)
+    associative = _associative(c, env, p)
+    centre, trace = _centre_and_trace(c, p)
+    central = associative and _rank_mod(centre, p) == d - 1
+    if central and _rank_mod(trace, p) == d:
+        return True, "central-simple"
+    if char:
+        n = math.isqrt(d)
+        if associative and not central:
+            return False, "centre"
+        if associative and (n * n != d or n % p):
+            return False, "trace-radical"
+        full = _rank_mod(env, p) == d * d
+        return full, "full-rank" if full else "kernel"
+    c = _tensor(ints, d)
+    env = _envelope(c)
+    if not _associative(c, env):
+        if _rank_mod(env, p) == d * d:
             return True, "full-rank"
-        if char:
-            return False, "kernel"
-        exact = _envelope(c) if exact is None else exact
-        # vec is 1 at its free column and 0 after it. That column is at most
-        # the one over Q, with equality exactly at the primes whose kernel
-        # vector is the rational one reduced mod p; so a smaller column marks
-        # p as bad, and a larger one marks the primes accumulated so far.
-        col = max(i for i, x in enumerate(vec) if x)
-        if free is not None and col < free:
-            continue
-        if col != free:
-            modulus, acc, free = 1, [0] * n, col
-        inv = pow(modulus, -1, p)
-        acc = [a + modulus * ((v - a) * inv % p) for a, v in zip(acc, vec)]
-        modulus *= p
-        fracs = [_rational_reconstruct(a, modulus) for a in acc]
-        if None not in fracs:
-            if not any(exact.dot(clear_denominators(fracs))):
-                return False, "kernel"
-    return rank(exact.tolist()) == n, "exact"
+        return rank(env.tolist()) == d * d, "exact"
+    centre, trace = _centre_and_trace(c)
+    if rank(trace.tolist()) < d:
+        return False, "trace-radical"
+    if rank(centre.tolist()) != d - 1:
+        return False, "centre"
+    return True, "central-simple"
 
 
 def is_azumaya_over_field(alg: StructureConstantAlgebra) -> bool:

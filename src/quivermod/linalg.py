@@ -1,5 +1,5 @@
 """Exact linear algebra at small sizes, and the integer helpers the other
-modules share: bounded factoring and clearing denominators.
+modules share: bounded factoring, a primality test and clearing denominators.
 
 There are two eliminations, both on integers. Over Q, rank and nullspace
 clear each row's denominators and eliminate fraction-free (Bareiss, Math.
@@ -156,3 +156,18 @@ def factor(n: int) -> dict[int, int]:
     if rest > 1:
         out[rest] = out.get(rest, 0) + 1
     return out
+
+
+# Miller-Rabin with the bases 2, 3, 5, 7 is exact below this bound (Pomerance,
+# Selfridge and Wagstaff, Math. Comp. 35, 1980).
+PRIME_BOUND = 3215031751
+
+
+def is_prime(n: int) -> bool:
+    """Primality of 0 <= n < PRIME_BOUND by deterministic Miller-Rabin."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"capacity: primality of {n} is decided only below {PRIME_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    return n in (2, 3, 5, 7) or n > 7 and all(
+        (x := pow(a, (n - 1) >> s, n)) == 1 or n - 1 in (pow(x, 1 << k, n) for k in range(s))
+        for a in (2, 3, 5, 7))

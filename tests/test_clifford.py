@@ -1,5 +1,7 @@
 import itertools
+import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -326,16 +328,76 @@ def enveloping_rank_mod(alg, q):
     return r
 
 
+def rational_reconstruct(a, m):
+    """n/d with n == a d mod m and |n|, d <= sqrt(m/2), by half extended Euclid."""
+    bound = math.isqrt(m // 2)
+    r0, r1, t0, t1 = m, a % m, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 != 0 and abs(t1) <= bound and math.gcd(r1, abs(t1)) == 1:
+        return Fraction(r1, t1)
+    return None
+
+
+def kernel_witness(alg, primes):
+    """A nonzero integer vector that the exact enveloping matrix of a table over
+    Q annihilates, which proves the map not injective, or None.
+
+    Kernel vectors mod each prime are joined by CRT and rationally
+    reconstructed. A vector with an earlier free column than the one so far
+    comes from a bad prime and is skipped; a later one restarts the
+    accumulation. Full rank mod a prime proves that no witness exists.
+    """
+    import numpy as np
+
+    d, n = alg.dim, alg.dim ** 2
+    flat = linalg.clear_denominators([x for row in alg.table for cell in row for x in cell])
+    c = np.array(flat, dtype=object).reshape(d, d, d)
+    exact = clifford_module._envelope(c)
+    modulus, acc, free = 1, [0] * n, None
+    for p in primes:
+        vec = linalg._echelon_mod_p(clifford_module._envelope(c, p), p)[1]
+        if vec is None:
+            return None
+        col = max(i for i, x in enumerate(vec) if x)
+        if free is not None and col < free:
+            continue
+        if col != free:
+            modulus, acc, free = 1, [0] * n, col
+        inv = pow(modulus, -1, p)
+        acc = [a + modulus * ((v - a) * inv % p) for a, v in zip(acc, vec)]
+        modulus *= p
+        fracs = [rational_reconstruct(a, modulus) for a in acc]
+        if None not in fracs:
+            witness = linalg.clear_denominators(fracs)
+            if not any(exact.dot(witness)):
+                return witness
+    return None
+
+
+def add_to_constant(alg, index, delta):
+    """The table of alg with delta added to one structure constant (mod char)."""
+    t = [[list(cell) for cell in row] for row in alg.table]
+    i, j, k = index
+    t[i][j][k] = (t[i][j][k] + delta) % alg.char if alg.char else t[i][j][k] + delta
+    return StructureConstantAlgebra(
+        dim=alg.dim, table=tuple(tuple(tuple(cell) for cell in row) for row in t), char=alg.char)
+
+
 @st.composite
-def azumaya_inputs(draw, max_size=3):
-    """(b, char) over Q, integral or not, and over GF(p), p in {2, 3, 5, 2^31 - 1}."""
-    size = draw(st.integers(1, max_size))
-    char = draw(st.sampled_from([0, 0, 2, 3, 5, 2 ** 31 - 1]))
+def azumaya_inputs(draw, max_size=3, sizes=None, chars=(0, 0, 2, 3, 5, 2 ** 31 - 1)):
+    """(b, char) over Q, integral or not, and over GF(p) for the primes p in chars."""
+    size = draw(st.sampled_from(sizes) if sizes else st.integers(1, max_size))
+    char = draw(st.sampled_from(chars))
     b = draw(symmetric_b(size, -4, 4))
     if char == 0 and draw(st.booleans()):
         dens = draw(st.lists(st.sampled_from([1, 2, 3, 6]), min_size=size, max_size=size))
         b = [[Fraction(x, dens[min(i, j)]) for j, x in enumerate(row)] for i, row in enumerate(b)]
     return b, char
+
+
+CERTIFICATES = ("central-simple", "centre", "trace-radical", "full-rank", "kernel", "exact")
 
 
 class TestAzumaya:
@@ -406,29 +468,48 @@ class TestAzumaya:
         assert _envelope(tensor, p).tolist() == [[x % p for x in row] for row in exact]
 
     def spy(self, monkeypatch):
-        """Record the primes the enveloping matrix is built for and the exact
-        Fraction eliminations made by the Azumaya test."""
-        calls = {"envelope": [], "rank": 0}
-        envelope, exact_rank = clifford_module._envelope, clifford_module.rank
+        """Record the primes the enveloping matrix is built for, and the shapes
+        of the matrices the Azumaya test eliminates mod p and over Q."""
+        calls = {"envelope": [], "mod_p": [], "exact": []}
+        envelope, echelon, exact_rank = (
+            clifford_module._envelope, clifford_module._echelon_mod_p, clifford_module.rank)
 
         def envelope_spy(c, p=None):
             calls["envelope"].append(p)
             return envelope(c, p)
 
+        def echelon_spy(a, p):
+            calls["mod_p"].append(a.shape)
+            return echelon(a, p)
+
         def rank_spy(rows):
-            calls["rank"] += 1
+            calls["exact"].append((len(rows), len(rows[0])))
             return exact_rank(rows)
 
         monkeypatch.setattr(clifford_module, "_envelope", envelope_spy)
+        monkeypatch.setattr(clifford_module, "_echelon_mod_p", echelon_spy)
         monkeypatch.setattr(clifford_module, "rank", rank_spy)
         return calls
 
     def test_certificate_full_rank_mod_p(self, monkeypatch):
+        # one prime, and only d-dimensional eliminations: the centre system
+        # and the trace form
         even = build_clifford(standard_form(3)).even_part()
         calls = self.spy(monkeypatch)
-        assert is_azumaya_over_field(even)
-        assert calls == {"envelope": [clifford_module._AZUMAYA_PRIMES[0]], "rank": 0}
         assert azumaya_certificate(even) == (True, "central-simple")
+        assert calls == {"envelope": [clifford_module._AZUMAYA_PRIME],
+                         "mod_p": [(256, 16), (16, 16)], "exact": []}
+        assert enveloping_rank_mod(even, 2 ** 31 - 1) == 256
+
+    def assert_trace_radical(self, monkeypatch, even):
+        """The trace form decides False over Q: the d^2 x d^2 matrix is built
+        exactly only to prove associativity, and nothing larger than the d x d
+        trace form is eliminated over Q."""
+        d = even.dim
+        calls = self.spy(monkeypatch)
+        assert azumaya_certificate(even) == (False, "trace-radical")
+        assert calls["envelope"] == [clifford_module._AZUMAYA_PRIME, None]
+        assert (d * d, d * d) not in calls["mod_p"] and calls["exact"] == [(d, d)]
 
     @pytest.mark.parametrize("b", [
         [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
@@ -439,71 +520,64 @@ class TestAzumaya:
          [2, 1, 1, -1, 1]],
     ])
     def test_certificate_reconstructed_kernel(self, monkeypatch, b):
+        # the oracle rebuilds a kernel vector from one prime near 2^31
         even = build_clifford(QuadraticFormB(b)).even_part()
-        calls = self.spy(monkeypatch)
-        assert not is_azumaya_over_field(even)
-        assert calls == {"envelope": [clifford_module._AZUMAYA_PRIMES[0], None], "rank": 0}
-        assert azumaya_certificate(even) == (False, "kernel")
+        self.assert_trace_radical(monkeypatch, even)
+        assert kernel_witness(even, (clifford_module._AZUMAYA_PRIME,)) is not None
 
     def test_certificate_kernel_needs_two_primes(self, monkeypatch):
         # kernel entries in ninths reconstruct modulo 101 * 103 but not modulo 101
         b = [[1, -2, -2, -1, 2], [-2, -1, 1, 2, 1], [-2, 1, 2, 2, 1], [-1, 2, 2, 2, -1],
              [2, 1, 1, -1, 1]]
         even = build_clifford(QuadraticFormB(b)).even_part()
-        calls = self.spy(monkeypatch)
-        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (101, 103, 107))
-        assert not is_azumaya_over_field(even)
-        assert calls == {"envelope": [101, None, 103], "rank": 0}
-        assert azumaya_certificate(even) == (False, "kernel")
+        self.assert_trace_radical(monkeypatch, even)
+        assert kernel_witness(even, (101,)) is None
+        assert kernel_witness(even, (101, 103, 107)) is not None
 
     @pytest.mark.parametrize("b", [
         [[1, 0, 0], [0, 3, 0], [0, 0, 0]],
         [[3, 0, 0], [0, 3, 0], [0, 0, 0]],
     ])
     def test_certificate_kernel_after_bad_first_prime(self, monkeypatch, b):
-        # modulo 3 the form loses a further rank, so the first kernel vector
-        # has an earlier free column; the accumulation restarts at 101
+        # modulo 3 the form loses a further rank: the certificate falls back to
+        # the exact trace form, and the oracle restarts its accumulation at 101
         even = build_clifford(QuadraticFormB(b)).even_part()
-        calls = self.spy(monkeypatch)
-        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (3, 101, 103))
-        assert not is_azumaya_over_field(even)
-        assert calls == {"envelope": [3, None, 101], "rank": 0}
-        assert azumaya_certificate(even) == (False, "kernel")
+        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIME", 3)
+        self.assert_trace_radical(monkeypatch, even)
+        assert kernel_witness(even, (3, 101, 103)) is not None
 
     def test_certificate_kernel_skips_bad_middle_prime(self, monkeypatch):
-        # kernel entries in ninths need 101 * 103; the bad prime 3 between
-        # them is skipped instead of spoiling the accumulation
+        # kernel entries in ninths need 101 * 103; the oracle skips the bad
+        # prime 3 between them, and the certificate at 3 still decides exactly
         b = [[1, -2, -2, -1, 2], [-2, -1, 1, 2, 1], [-2, 1, 2, 2, 1], [-1, 2, 2, 2, -1],
              [2, 1, 1, -1, 1]]
         even = build_clifford(QuadraticFormB(b)).even_part()
-        calls = self.spy(monkeypatch)
-        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (101, 3, 103))
-        assert not is_azumaya_over_field(even)
-        assert calls == {"envelope": [101, None, 3, 103], "rank": 0}
-        assert azumaya_certificate(even) == (False, "kernel")
+        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIME", 3)
+        self.assert_trace_radical(monkeypatch, even)
+        assert kernel_witness(even, (101, 3, 103)) is not None
 
     def test_certificate_exact_fallback(self, monkeypatch):
-        # 3 divides the discriminant, so the only prime sees a rank deficit
-        # that no rational kernel vector explains
-        even = build_clifford(diag_form([1, 1, 3])).even_part()
+        # adding 3 to one constant keeps the table mod 3, where the form is
+        # degenerate, but breaks associativity over Q: the rank over Q decides
+        alg = add_to_constant(build_clifford(diag_form([1, 1, 3])).even_part(), (1, 2, 0), 3)
         calls = self.spy(monkeypatch)
-        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (3,))
-        assert is_azumaya_over_field(even)
-        assert calls == {"envelope": [3, None], "rank": 1}
-        assert azumaya_certificate(even) == (True, "exact")
+        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIME", 3)
+        assert azumaya_certificate(alg) == (True, "exact")
+        assert calls["envelope"] == [3, None] and calls["exact"] == [(16, 16)]
+        assert enveloping_rank_oracle(alg) == 16
 
     def test_certificate_exact_fallback_quinary(self, monkeypatch):
-        # the one prime, 3, rebuilds a kernel vector that the exact matrix does
-        # not annihilate, so the rank over Q of the 256 x 256 envelope decides
+        # the same for a quinary form: the rank over Q of the 256 x 256 matrix
+        # decides, and a kernel vector rebuilt near 2^31 confirms the deficit
         b = [[0, 0, 0, -1, -2], [0, 0, 0, 0, -2], [0, 0, 0, -2, 2], [-1, 0, -2, -2, 0],
              [-2, -2, 2, 0, 0]]
-        even = build_clifford(QuadraticFormB(b)).even_part()
-        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIMES", (3,))
+        alg = add_to_constant(build_clifford(QuadraticFormB(b)).even_part(), (1, 2, 0), 3)
+        monkeypatch.setattr(clifford_module, "_AZUMAYA_PRIME", 3)
         start = time.perf_counter()
-        verdict, name = azumaya_certificate(even)
+        verdict, name = azumaya_certificate(alg)
         elapsed = time.perf_counter() - start
-        assert name == "exact" and elapsed < 3.0
-        assert verdict == (enveloping_rank_oracle(even) == even.dim ** 2)
+        assert (verdict, name) == (False, "exact") and elapsed < 3.0
+        assert kernel_witness(alg, (2 ** 31 - 1, 2147483587)) is not None
 
     @given(azumaya_inputs(max_size=5))
     @settings(max_examples=30, deadline=None)
@@ -514,7 +588,7 @@ class TestAzumaya:
         # over Q the rank mod 2^31 - 1, a prime the test does not visit, is a
         # lower bound of the rank, and no form drawn here has it as a bad prime
         assert verdict == (enveloping_rank_mod(even, char or 2 ** 31 - 1) == even.dim ** 2)
-        assert name in ("central-simple", "full-rank", "kernel", "exact")
+        assert name in CERTIFICATES
 
     def test_certificate_needs_associativity(self):
         # Hamilton's quaternions with one unit term added to i j: the centre
@@ -541,6 +615,61 @@ class TestAzumaya:
         # M_4(GF(2)) has the trace form 4 trd = 0
         even = build_clifford(standard_form(3, char=2)).even_part()
         assert azumaya_certificate(even) == (True, "full-rank")
+
+    @given(azumaya_inputs(max_size=5), st.one_of(st.none(), st.tuples(
+        st.integers(0, 3), st.integers(0, 3), st.integers(0, 3), st.integers(1, 2))))
+    @settings(max_examples=60, deadline=None)
+    def test_d_dimensional_certificates_only_decide_false(self, inp, change):
+        # a changed constant usually breaks associativity
+        b, char = inp
+        alg = build_clifford(QuadraticFormB(b, char=char)).even_part()
+        if change and max(change[:3]) < alg.dim:
+            alg = add_to_constant(alg, change[:3], change[3])
+        verdict, name = azumaya_certificate(alg)
+        assert name in CERTIFICATES
+        assert not (verdict and name in ("trace-radical", "centre"))
+
+    @given(azumaya_inputs(sizes=[3, 5], chars=(0, 0, 2, 3, 5, 65537, 2 ** 31 - 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_azumaya_iff_smooth_odd_sizes(self, inp):
+        # an independent oracle: the even Clifford algebra of an odd-size form is
+        # central simple exactly when the quadric is smooth
+        b, char = inp
+        q = QuadraticFormB(b, char=char)
+        assert is_azumaya_over_field(build_clifford(q).even_part()) == is_smooth_quadric(q)
+
+    @pytest.mark.parametrize("char", [0, 5])
+    def test_zero_dimensional_algebra(self, char):
+        assert azumaya_certificate(StructureConstantAlgebra(dim=0, table=(), char=char)) == (
+            True, "full-rank")
+
+    @pytest.mark.parametrize("char", [0, 5])
+    def test_one_dimensional_zero_table(self, char):
+        # associative, all of it central, trace form 0
+        zero = StructureConstantAlgebra(dim=1, table=(((0,),),), char=char)
+        assert azumaya_certificate(zero) == (False, "trace-radical")
+        assert enveloping_rank_oracle(zero) == 0
+
+    @pytest.mark.parametrize("char", [0, 2 ** 31 - 1])
+    @pytest.mark.parametrize("singular", [False, True])
+    def test_large_entries_leave_the_plain_product(self, char, singular):
+        # entries up to 10^6 push d max|c|^2 past 2^63: over Q the exact steps
+        # run on Python ints, and mod p the products take the limb split
+        rnd = random.Random(3)
+        b = [[0] * 5 for _ in range(5)]
+        for i in range(5):
+            for j in range(i, 5):
+                b[i][j] = b[j][i] = 0 if singular and j == 4 else rnd.randint(-10 ** 6, 10 ** 6)
+        q = QuadraticFormB(b, char=char)
+        even = build_clifford(q).even_part()
+        top = max(min(x % (char or 2 ** 31), -x % (char or 2 ** 31)) if char else abs(x)
+                  for row in even.table for cell in row for x in cell)
+        assert 16 * top ** 2 >= 2 ** 63
+        start = time.perf_counter()
+        verdict, name = azumaya_certificate(even)
+        assert time.perf_counter() - start < 2.0
+        assert verdict == (not singular) == is_smooth_quadric(q)
+        assert name == ("trace-radical" if singular else "central-simple")
 
     @given(azumaya_inputs(max_size=5))
     @settings(max_examples=30, deadline=None)

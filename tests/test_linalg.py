@@ -10,8 +10,10 @@ from sympy import factorint
 from quivermod.cli import main
 from quivermod.linalg import (
     FACTOR_BOUND,
+    PRIME_BOUND,
     clear_denominators,
     factor,
+    is_prime,
     nullspace,
     primitive_int_vector,
     rank,
@@ -109,6 +111,39 @@ class TestFactor:
     def test_rejects_zero_and_beyond_the_bound(self, n):
         with pytest.raises(ValueError):
             factor(n)
+
+
+def prime_by_factor(n):
+    return n >= 2 and factor(n) == {n: 1}
+
+
+class TestIsPrime:
+    def test_matches_factor_below_1e5(self):
+        assert [n for n in range(10**5) if is_prime(n) != prime_by_factor(n)] == []
+
+    @pytest.mark.parametrize("n", [2047, 1373653, 25326001])
+    def test_strong_pseudoprimes(self, n):
+        # the least strong pseudoprimes to the bases 2; 2, 3; and 2, 3, 5
+        assert not is_prime(n) and not prime_by_factor(n)
+
+    @given(st.integers(0, 2**31))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_factor(self, n):
+        assert is_prime(n) == prime_by_factor(n)
+
+    def test_bound(self):
+        # PRIME_BOUND is the least strong pseudoprime to the bases 2, 3, 5, 7
+        assert factor(PRIME_BOUND) != {PRIME_BOUND: 1}
+        assert is_prime(PRIME_BOUND - 2) and prime_by_factor(PRIME_BOUND - 2)
+        with pytest.raises(ValueError, match="capacity"):
+            is_prime(PRIME_BOUND)
+
+    @pytest.mark.parametrize("char", ["2047", "25326001", "1", "4", "2147483646"])
+    def test_composite_characteristic_on_the_command_line(self, capsys, char):
+        assert main(["clifford", "--b", "1", "--char", char]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: characteristic must be 0 or a prime below 2^31, got {char}\n"
 
 
 rationals = st.fractions(max_denominator=50).filter(lambda x: abs(x) < 10**6)
