@@ -30,6 +30,17 @@ from .models import ConicFiber
 # keeps residue products below 2^62 in int64.
 CHAR_BOUND = 2 ** 31
 
+# The Azumaya test handles algebras of dimension at most this bound (its
+# largest elimination is d^2 x d^2); larger ones are a domain error, raised
+# for an even part before its d^3 table is built.
+DIM_BOUND = 64
+
+
+def _check_dim(d: int) -> None:
+    if d > DIM_BOUND:
+        raise ValueError(f"capacity: algebra dimension {d} exceeds {DIM_BOUND}")
+
+
 # numpy serves only the modular eliminations. It is registered lazily, so
 # `import quivermod` does not pay its import; its code runs on first use.
 if "numpy" not in sys.modules and (_spec := importlib.util.find_spec("numpy")) is not None:
@@ -289,6 +300,7 @@ class CliffordAlgebra:
 
     def even_part(self) -> "StructureConstantAlgebra":
         """The even subalgebra, its table in the format of StructureConstantAlgebra."""
+        _check_dim((self.dim + 1) // 2)  # 2^(n-1) even subsets of n >= 1 generators
         masks = self.even_masks()
         index = {m: i for i, m in enumerate(masks)}
         d = len(masks)
@@ -417,8 +429,7 @@ def azumaya_certificate(alg: StructureConstantAlgebra) -> tuple[bool, str]:
     characteristic 2 the elimination decides.
     """
     d, char = alg.dim, alg.char
-    if d > 64:
-        raise ValueError(f"capacity: algebra dimension {d} exceeds 64")
+    _check_dim(d)
     if char >= CHAR_BOUND:
         raise ValueError(f"characteristic {char} is not below 2^31")
     if d == 0:

@@ -17,6 +17,7 @@ failure on a locally solvable form is an internal contradiction
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -113,7 +114,8 @@ def symbol_profile(u: Rational, v: Rational) -> tuple[HilbertSymbolEvaluation, .
 
 
 def quaternion_is_split(alg: QuaternionAlgebra) -> bool:
-    return all(ev.value == 1 for ev in symbol_profile(alg.u, alg.v))
+    """Is the norm form <u, v, -1> isotropic?"""
+    return _locally_isotropic(alg.u, alg.v, -1)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +128,7 @@ class ConicPointResult:
     witness: Optional[tuple[int, int, int]]
 
 
-def _legendre_reduce(a: int, b: int, c: int):
+def _legendre_reduce(a: Rational, b: Rational, c: Rational):
     """Reduce diag(a,b,c) to squarefree pairwise coprime coefficients.
 
     Returns (a', b', c', m, primes): the diagonal map x_i -> m[i] x_i (m
@@ -136,12 +138,16 @@ def _legendre_reduce(a: int, b: int, c: int):
     the power common to all three divides the form; a remaining p^(2k) in one
     coefficient is absorbed by scaling the other two variables by p^k; and p
     left in two coefficients moves to the third (scale its variable by p, then
-    divide the form by p).
+    divide the form by p). A Fraction n/d stands for n d, its square class,
+    with n and d factored apart; m then solves the form scaled to those.
     """
     coeffs = [1 if x > 0 else -1 for x in (a, b, c)]
     m = [1, 1, 1]
     primes: tuple[list[int], ...] = ([], [], [])
-    facs = [factor(x) for x in (a, b, c)]
+    facs = [
+        Counter(factor(x.numerator)) + Counter(factor(x.denominator)) if x.denominator > 1
+        else factor(x.numerator) for x in (a, b, c)
+    ]
     for p in sorted(facs[0].keys() | facs[1].keys() | facs[2].keys()):
         e = [f.get(p, 0) for f in facs]
         low = min(e)
@@ -156,6 +162,17 @@ def _legendre_reduce(a: int, b: int, c: int):
             coeffs[i] *= p
             primes[i].append(p)
     return (*coeffs, m, tuple(tuple(ps) for ps in primes))
+
+
+def _locally_isotropic(a: Rational, b: Rational, c: Rational):
+    """Is a x^2 + b y^2 + c z^2 (nonzero rationals) isotropic over Q, and its
+    _legendre_reduce output: on that reduced form, the symbol (-a c, -b c) at
+    the real place, 2 and the primes of a, b and c decides; it is +1 elsewhere.
+    """
+    reduced = _legendre_reduce(a, b, c)
+    a, b, c, _, primes = reduced
+    places = (REAL_PLACE, 2, *primes[0], *primes[1], *primes[2])
+    return all(_local_symbol(-a * c, -b * c, place) == 1 for place in places), reduced
 
 
 def _crt(r: int, m: int, s: int, n: int) -> int:
@@ -331,10 +348,8 @@ def _lattice_zero(
 def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
     """Decide solvability of the plane conic and produce a primitive witness.
 
-    The decision is local: diagonalize, clear denominators and reduce to the
-    squarefree, pairwise coprime <a, b, c> (each coefficient factored once),
-    then check the symbol (-a c, -b c) at the real place, 2 and the primes of
-    a, b and c; it is +1 everywhere else. When solvable, the witness comes
+    The decision is local: diagonalize, clear denominators and decide the
+    diagonal form by _locally_isotropic. When solvable, the witness comes
     from the same reduced form by lattice reduction
     (Cremona and Rusin, Math. Comp. 72, 2003; D. Simon, Math. Comp. 74, 2005):
     the lattice where the form vanishes mod abc is LLL-reduced, and a zero is
@@ -347,9 +362,8 @@ def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
         raise ValueError("conic is degenerate")
     form = form_from_conic(conic)
     coeffs, p_mat = form.diagonalize()
-    a, b, c, m, primes = _legendre_reduce(*clear_denominators(coeffs))
-    places = (REAL_PLACE, 2, *primes[0], *primes[1], *primes[2])
-    if any(_local_symbol(-a * c, -b * c, place) != 1 for place in places):
+    solvable, (a, b, c, m, primes) = _locally_isotropic(*clear_denominators(coeffs))
+    if not solvable:
         return ConicPointResult(False, None)
     found = _lattice_zero(a, b, c, primes)
     witness = primitive_int_vector(mat_vec(p_mat, [mi * t for mi, t in zip(m, found)]))
@@ -363,8 +377,9 @@ def clifford_invariant_of_model_point(
 ) -> tuple[QuaternionAlgebra, bool]:
     """Quaternion class of the conic fiber over a stable model point, with verdict.
 
-    Stability is h != 0; the quaternion is extracted from the fiber conic and
-    the verdict is its splitting over the rationals.
+    Stability is h != 0; the quaternion is extracted from the fiber conic, and
+    splits iff the conic's diagonal <alpha, beta, gamma> is isotropic, which
+    factors each coefficient rather than u = -alpha beta.
     """
     if isinstance(point, L2Point):
         conic = l2_conic(point)
@@ -374,5 +389,6 @@ def clifford_invariant_of_model_point(
         raise TypeError(f"expected a model point, got {type(point).__name__}")
     if point.h == 0:
         raise ValueError("point is not stable (h = 0)")
-    quat = quaternion_from_ternary(form_from_conic(conic))
-    return quat, quaternion_is_split(quat)
+    form = form_from_conic(conic)
+    coeffs, _ = form.diagonalize()
+    return quaternion_from_ternary(form), _locally_isotropic(*coeffs)[0]

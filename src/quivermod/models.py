@@ -25,17 +25,26 @@ This follows from the rank-2 Cramer identity z Av - y Bv + x Cv = 0, which puts
 (z : -y : x) in the kernel of alpha A + beta B + gamma C; note the xz and y^2
 coefficients are c and d in this order, not d and c. The fit_conic oracle below
 recovers the same pattern from sampled semiinvariant points.
+
+Arithmetic is on integers: _scaled puts the inputs over one common denominator
+s, and each coordinate, a homogeneous polynomial in the integer numerators, is
+divided by its power of s once, in the Fraction it is returned as; e.g.
+a = tr(P^2) / 4 s^2 for the doubled traceless part P = 2A - tr(A) I. The
+stability oracles read the same numerators, which have the same spans, ranks
+and common roots.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import clear_denominators, det3, mat_vec, nullspace, rank
+from .linalg import det3, mat_vec, nullspace, rank
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 Vec2 = tuple[Fraction, Fraction]
+IntMat2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 def mat2(rows: Sequence[Sequence]) -> Mat2:
@@ -50,34 +59,34 @@ def vec2(v: Sequence) -> Vec2:
     return (Fraction(v[0]), Fraction(v[1]))
 
 
-def mat2_mul(x: Mat2, y: Mat2) -> Mat2:
+def _scaled(mats: Sequence, v: Optional[Sequence] = None) -> tuple[list[IntMat2], tuple, int]:
+    """Numerators of the matrices (checked by mat2) and of v (by vec2, empty
+    without v) over their common denominator s, and s."""
+    checked = [mat2(m) for m in mats]
+    fracs = [x for m in checked for row in m for x in row] + list(vec2(v) if v is not None else ())
+    s = math.lcm(*(x.denominator for x in fracs))
+    ints = iter([x.numerator * (s // x.denominator) for x in fracs])
+    scaled = [((next(ints), next(ints)), (next(ints), next(ints))) for _ in checked]
+    return scaled, tuple(ints), s
+
+
+def mat2_mul(x: IntMat2, y: IntMat2) -> IntMat2:
     return (
         (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
         (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
     )
 
 
-def mat2_trace(x: Mat2) -> Fraction:
+def mat2_trace(x: IntMat2) -> int:
     return x[0][0] + x[1][1]
 
 
-def mat2_traceless(x: Mat2) -> Mat2:
-    t = mat2_trace(x) / 2
-    return ((x[0][0] - t, x[0][1]), (x[1][0], x[1][1] - t))
+def _doubled_traceless(x: IntMat2) -> IntMat2:
+    """2X - tr(X) I, twice the traceless part, so that no 1/2 appears."""
+    return ((x[0][0] - x[1][1], 2 * x[0][1]), (2 * x[1][0], x[1][1] - x[0][0]))
 
 
-def _int_mat2(rows: Sequence[Sequence]) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The 2x2 rational matrix times the lcm of its entries' denominators.
-
-    Scaling one matrix of a tuple by a nonzero constant scales each word in
-    it, each pair form det(Xv|Yv) and each kernel and image equation by a
-    nonzero constant, so spans, ranks and common roots stay as they are.
-    """
-    a, b, c, d = clear_denominators([x for row in mat2(rows) for x in row])
-    return ((a, b), (c, d))
-
-
-def det_cols(u: Vec2, w: Vec2) -> Fraction:
+def det_cols(u: Sequence, w: Sequence) -> int:
     """Determinant of the 2x2 matrix with columns u and w."""
     return u[0] * w[1] - u[1] * w[0]
 
@@ -141,14 +150,15 @@ class L2Point:
 
 
 def l2_invariants(a_mat: Sequence[Sequence], b_mat: Sequence[Sequence]) -> L2Point:
-    A, B = mat2(a_mat), mat2(b_mat)
-    Ap, Bp = mat2_traceless(A), mat2_traceless(B)
+    (A, B), _, s = _scaled((a_mat, b_mat))
+    P, Q = _doubled_traceless(A), _doubled_traceless(B)
+    q = 4 * s * s
     return L2Point(
-        a=mat2_trace(mat2_mul(Ap, Ap)),
-        b=mat2_trace(mat2_mul(Ap, Bp)),
-        c=mat2_trace(mat2_mul(Bp, Bp)),
-        d=mat2_trace(A),
-        e=mat2_trace(B),
+        a=Fraction(mat2_trace(mat2_mul(P, P)), q),
+        b=Fraction(mat2_trace(mat2_mul(P, Q)), q),
+        c=Fraction(mat2_trace(mat2_mul(Q, Q)), q),
+        d=Fraction(mat2_trace(A), s),
+        e=Fraction(mat2_trace(B), s),
     )
 
 
@@ -161,13 +171,12 @@ def l2_semiinvariants(
     a_mat: Sequence[Sequence], b_mat: Sequence[Sequence], v: Sequence
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(x, y, z) = (det(v|Av), det(A'v|B'v), det(v|Bv)); see the module docstring."""
-    A, B = mat2(a_mat), mat2(b_mat)
-    w = vec2(v)
-    Ap, Bp = mat2_traceless(A), mat2_traceless(B)
+    (A, B), w, s = _scaled((a_mat, b_mat), v)
+    P, Q = _doubled_traceless(A), _doubled_traceless(B)
     return (
-        det_cols(w, mat_vec(A, w)),
-        det_cols(mat_vec(Ap, w), mat_vec(Bp, w)),
-        det_cols(w, mat_vec(B, w)),
+        Fraction(det_cols(w, mat_vec(A, w)), s ** 3),
+        Fraction(det_cols(mat_vec(P, w), mat_vec(Q, w)), 4 * s ** 4),
+        Fraction(det_cols(w, mat_vec(B, w)), s ** 3),
     )
 
 
@@ -185,7 +194,7 @@ def burnside_dimension(matrices: Sequence[Sequence[Sequence]]) -> int:
     Length 3 saturates generation questions in 2x2 matrices, so the value is 4
     exactly when the tuple has no common invariant line over the closure.
     """
-    mats = [_int_mat2(m) for m in matrices]
+    mats, _, _ = _scaled(matrices)
     ident = ((1, 0), (0, 1))
     words = [ident]
     layer = [ident]
@@ -223,7 +232,7 @@ class K3Point:
         return 4 * a * d * f + b * c * e - c * c * d - a * e * e - b * b * f
 
 
-def _mixed_det(x: Mat2, y: Mat2) -> Fraction:
+def _mixed_det(x: IntMat2, y: IntMat2) -> int:
     """det(X + Y) - det(X) - det(Y), the polarization of det on 2x2 matrices."""
     return mat2_trace(x) * mat2_trace(y) - mat2_trace(mat2_mul(x, y))
 
@@ -231,15 +240,16 @@ def _mixed_det(x: Mat2, y: Mat2) -> Fraction:
 def k3_invariants(
     a_mat: Sequence[Sequence], b_mat: Sequence[Sequence], c_mat: Sequence[Sequence]
 ) -> K3Point:
-    A, B, C = mat2(a_mat), mat2(b_mat), mat2(c_mat)
+    (A, B, C), _, s = _scaled((a_mat, b_mat, c_mat))
+    q = s * s
     # det_cols(*X) is det(X^T) = det(X)
     return K3Point(
-        a=det_cols(*A),
-        b=_mixed_det(A, B),
-        c=_mixed_det(A, C),
-        d=det_cols(*B),
-        e=_mixed_det(B, C),
-        f=det_cols(*C),
+        a=Fraction(det_cols(*A), q),
+        b=Fraction(_mixed_det(A, B), q),
+        c=Fraction(_mixed_det(A, C), q),
+        d=Fraction(det_cols(*B), q),
+        e=Fraction(_mixed_det(B, C), q),
+        f=Fraction(det_cols(*C), q),
     )
 
 
@@ -257,10 +267,9 @@ def k3_semiinvariants(
     v: Sequence,
 ) -> tuple[Fraction, Fraction, Fraction]:
     """(x, y, z) = (det(Av|Bv), det(Av|Cv), det(Bv|Cv))."""
-    A, B, C = mat2(a_mat), mat2(b_mat), mat2(c_mat)
-    w = vec2(v)
+    (A, B, C), w, s = _scaled((a_mat, b_mat, c_mat), v)
     av, bv, cv = mat_vec(A, w), mat_vec(B, w), mat_vec(C, w)
-    return (det_cols(av, bv), det_cols(av, cv), det_cols(bv, cv))
+    return tuple(Fraction(det_cols(x, y), s ** 4) for x, y in ((av, bv), (av, cv), (bv, cv)))
 
 
 def k3_conic(p: K3Point) -> ConicFiber:
@@ -273,62 +282,23 @@ def k3_conic(p: K3Point) -> ConicFiber:
     return ConicFiber(xx=p.f, yy=p.d, zz=p.a, xy=-p.e, xz=p.c, yz=-p.b)
 
 
-def _pair_form(x: Mat2, y: Mat2) -> tuple[Fraction, ...]:
+def _pair_form(x: IntMat2, y: IntMat2) -> tuple[int, int, int]:
     """det(Xv|Yv) as a binary quadratic form in v = (s, t): coefficients on s^2, s t, t^2."""
-    e1, e2, both = (1, 0), (0, 1), (1, 1)
-    alpha = det_cols(mat_vec(x, e1), mat_vec(y, e1))
-    gamma = det_cols(mat_vec(x, e2), mat_vec(y, e2))
-    beta = det_cols(mat_vec(x, both), mat_vec(y, both)) - alpha - gamma
-    return (alpha, beta, gamma)
+    (x0, x1), (x2, x3) = x
+    (y0, y1), (y2, y3) = y
+    return (x0 * y2 - x2 * y0, x0 * y3 + x1 * y2 - x2 * y1 - x3 * y0, x1 * y3 - x3 * y1)
 
 
-def _poly_gcd(p1: list[Fraction], p2: list[Fraction]) -> list[Fraction]:
-    """Monic gcd of univariate polynomials, dense ascending coefficients."""
-
-    def trim(p):
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    a, b = trim(list(p1)), trim(list(p2))
-    while b:
-        # a mod b
-        r = list(a)
-        while len(r) >= len(b) and trim(r):
-            factor = r[-1] / b[-1]
-            shift = len(r) - len(b)
-            for i, coef in enumerate(b):
-                r[shift + i] -= factor * coef
-            trim(r)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [x / lead for x in a]
-    return a
-
-
-def binary_forms_common_root(forms: Sequence[tuple[Fraction, ...]]) -> bool:
+def binary_forms_common_root(forms: Sequence[Sequence]) -> bool:
     """Do binary quadratic forms share a projective root over the closure?
 
-    A form alpha s^2 + beta s t + gamma t^2 factors as t^k times the
-    homogenization of its dehomogenized polynomial; the forms share a root iff
-    either all are divisible by t (common root at infinity) or the univariate
-    gcd of their dehomogenizations is nonconstant. Zero forms impose nothing.
-    Coefficients are taken as Fractions, so the gcd is exact for int input too.
+    Exactly when the multiples s f, t f fail to span the binary cubics: a
+    common factor l keeps them in l times the quadratics; otherwise two
+    coprime forms lie in the span of the forms, and their Sylvester resultant
+    is nonzero. Zero forms impose nothing.
     """
-    nonzero = [tuple(map(Fraction, f)) for f in forms if any(c != 0 for c in f)]
-    if not nonzero:
-        return True
-    # root at infinity (1 : 0) iff every s^2 coefficient vanishes
-    if all(f[0] == 0 for f in nonzero):
-        return True
-    g: Optional[list[Fraction]] = None
-    for alpha, beta, gamma in nonzero:
-        poly = [gamma, beta, alpha]  # q(s, 1), ascending in s
-        g = poly if g is None else _poly_gcd(g, poly)
-        if len(g) <= 1:
-            return False
-    return g is not None and len(g) > 1
+    rows = [r for a, b, c in forms for r in ([a, b, c, 0], [0, a, b, c])]
+    return rank(rows) < 4
 
 
 def k3_destabilizer(
@@ -342,9 +312,10 @@ def k3_destabilizer(
       (1, 0): the stacked 6x2 matrix has a common kernel line;
       (2, 1): the 2x6 concatenation has rank <= 1 (all images in one line);
       (1, 1): the three pairwise determinant forms share a projective root.
-    Each type is read on the matrices scaled to integers (_int_mat2).
+    Each type is read on the matrices over their common denominator, whose
+    numerators span the same kernels, images and common roots.
     """
-    A, B, C = _int_mat2(a_mat), _int_mat2(b_mat), _int_mat2(c_mat)
+    (A, B, C), _, _ = _scaled((a_mat, b_mat, c_mat))
     if all(x == 0 for m in (A, B, C) for row in m for x in row):
         return (2, 0)
     stacked = [[m[i][0], m[i][1]] for m in (A, B, C) for i in range(2)]

@@ -5,8 +5,10 @@
 `GFElement` over GF(p). The library used both until its arithmetic moved to
 integers: Bareiss elimination over Q (`linalg.rank`, `linalg.nullspace`), int
 residues and `linalg._echelon_mod_p` over GF(p). `FieldForm` is the quadratic
-form code written once for every field. Tests compare the integer code against
-these on small inputs.
+form code written once for every field. `common_root_by_euclid` is the former
+Euclid test for a common root of binary quadratic forms, which
+`models.binary_forms_common_root` replaced by a rank. Tests compare the integer
+code against these on small inputs.
 """
 from __future__ import annotations
 
@@ -230,3 +232,46 @@ class FieldForm:
             return rank(g) == self.size
         kernel = nullspace(g)
         return len(kernel) == 1 and self.value(kernel[0]) != 0
+
+
+def _poly_gcd(p1: list[Fraction], p2: list[Fraction]) -> list[Fraction]:
+    """Monic gcd of univariate polynomials, dense ascending coefficients."""
+
+    def trim(p):
+        while p and p[-1] == 0:
+            p.pop()
+        return p
+
+    a, b = trim(list(p1)), trim(list(p2))
+    while b:
+        # a mod b
+        r = list(a)
+        while len(r) >= len(b) and trim(r):
+            factor = r[-1] / b[-1]
+            shift = len(r) - len(b)
+            for i, coef in enumerate(b):
+                r[shift + i] -= factor * coef
+            trim(r)
+        a, b = b, r
+    if a:
+        lead = a[-1]
+        a = [x / lead for x in a]
+    return a
+
+
+def common_root_by_euclid(forms: Sequence[Sequence]) -> bool:
+    """Do binary quadratic forms alpha s^2 + beta s t + gamma t^2 share a
+    projective root over the closure? Either every s^2 coefficient vanishes
+    (the root (1 : 0)), or the Fraction gcd of the dehomogenizations q(s, 1)
+    is nonconstant. Zero forms impose nothing.
+    """
+    nonzero = [tuple(map(Fraction, f)) for f in forms if any(c != 0 for c in f)]
+    if not nonzero or all(f[0] == 0 for f in nonzero):
+        return True
+    g = None
+    for alpha, beta, gamma in nonzero:
+        poly = [gamma, beta, alpha]  # q(s, 1), ascending in s
+        g = poly if g is None else _poly_gcd(g, poly)
+        if len(g) <= 1:
+            return False
+    return True

@@ -306,13 +306,26 @@ class TestErrorHandling:
     @pytest.mark.parametrize("argv", [
         ["k3", "--A", "0,0,0,0", "--B", "0,0,0,0", "--C", "0,0,0,0"],
         ["l2", "--A", "1,0,0,1", "--B", "0,1,0,0", "--v", "1,2,3"],
-        # an even part of dimension 128 passes three records, then exceeds the capacity
+        # an even part of dimension 128 exceeds the capacity before its table is built
         ["clifford", "--b", ",".join("1" if i % 9 == 0 else "0" for i in range(64))],
     ])
     def test_domain_error_leaves_stdout_empty(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == [] and err.startswith("error:")
+
+    def test_clifford_capacity_before_the_table(self):
+        # 12 variables: the capacity error comes before the even part's
+        # 2048^3 table, which would take hours to build
+        root = Path(__file__).resolve().parents[1]
+        b = ",".join("1" if i % 13 == 0 else "0" for i in range(144))
+        out = subprocess.run(
+            [sys.executable, "-m", "quivermod.cli", "clifford", f"--b={b}"],
+            capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        )
+        assert out.returncode == 2 and out.stdout == ""
+        assert out.stderr == "error: capacity: algebra dimension 2048 exceeds 64\n"
 
     def test_clifford_non_square_entry_count(self, capsys):
         code, _, err = run(capsys, ["clifford", "--b", "1,2,3"])

@@ -187,6 +187,14 @@ class TestQuaternionSplitting:
     def test_norm_of_square_splits(self, u):
         assert quaternion_is_split(QuaternionAlgebra(u * u, Fraction(-3)))
 
+    @given(st.one_of(nonzero_rat, st.integers(-10 ** 6, 10 ** 6).filter(lambda x: x != 0)),
+           st.one_of(nonzero_rat, st.integers(-10 ** 6, 10 ** 6).filter(lambda x: x != 0)))
+    @settings(max_examples=300)
+    def test_split_iff_every_symbol_is_one(self, u, v):
+        # symbol_profile, the CLI's per-place display, is the oracle
+        expected = all(ev.value == 1 for ev in symbol_profile(u, v))
+        assert quaternion_is_split(QuaternionAlgebra(Fraction(u), Fraction(v))) == expected
+
 
 class TestConicPoints:
     def test_pythagorean(self):
@@ -492,6 +500,15 @@ class TestModelPointInvariant:
         quat, split = clifford_invariant_of_model_point(point)
         assert split
         assert quaternion_is_split(quat)
+
+    def test_verdict_factors_the_diagonal_not_u(self):
+        # the fibre <8388593, 8388617, -1> is unsolvable; u = -alpha beta is
+        # -70368693845881, beyond what factor decides, while each diagonal
+        # coefficient factors at once
+        start = time.perf_counter()
+        quat, split = clifford_invariant_of_model_point(K3Point(-1, 0, 0, 8388617, 0, 8388593))
+        assert time.perf_counter() - start < 0.1
+        assert (quat.u, quat.v, split) == (-70368693845881, 8388617, False)
 
     def test_rejects_unstable_point(self):
         point = L2Point(Fraction(1), Fraction(1), Fraction(1), Fraction(0), Fraction(0))

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from field_oracle import common_root_by_euclid
 from hypothesis import assume, given, settings, strategies as st
 
 from quivermod.models import (
@@ -26,6 +27,16 @@ from quivermod.models import (
 ints = st.integers(-6, 6)
 mat_st = st.tuples(st.tuples(ints, ints), st.tuples(ints, ints))
 vec_st = st.tuples(ints, ints)
+# ints and rationals with denominators 1-6, so that inputs share a common
+# denominator s > 1
+entries = st.one_of(ints, st.builds(Fraction, st.integers(-12, 12), st.integers(1, 6)))
+rat_mat_st = st.tuples(st.tuples(entries, entries), st.tuples(entries, entries))
+rat_vec_st = st.tuples(entries, entries)
+
+
+def all_fractions(values):
+    return all(isinstance(x, Fraction) for x in values)
+
 
 SWAP = ((0, 1), (1, 0))
 DIAG = ((1, 0), (0, -1))
@@ -82,12 +93,13 @@ class TestPairsModel:
     def test_scalar_pair(self):
         assert burnside_dimension([IDENT, ((2, 0), (0, 2))]) == 1
 
-    @given(mat_st, mat_st, vec_st)
+    @given(rat_mat_st, rat_mat_st, rat_vec_st)
     def test_conic_identity(self, a, b, v):
         p = l2_invariants(a, b)
         conic = l2_conic(p)
         x, y, z = l2_semiinvariants(a, b, v)
         assert conic.evaluate(x, y, z) == 0
+        assert all_fractions(p.coordinates() + (x, y, z) + conic.coefficients())
 
     @given(mat_st, mat_st)
     def test_gram_determinant_is_twice_h(self, a, b):
@@ -99,7 +111,7 @@ class TestPairsModel:
     def test_stable_iff_burnside_full(self, a, b):
         assert l2_is_stable(a, b) == (burnside_dimension([a, b]) == 4)
 
-    @given(mat_st, mat_st, mat_st, vec_st)
+    @given(rat_mat_st, rat_mat_st, mat_st, rat_vec_st)
     def test_conjugation_equivariance(self, a, b, g, v):
         det_g = g[0][0] * g[1][1] - g[0][1] * g[1][0]
         assume(det_g != 0)
@@ -131,6 +143,7 @@ class TestPairsModel:
         orig = l2_semiinvariants(a, b, v)
         moved = l2_semiinvariants(conj(a), conj(b), gv)
         assert moved == tuple(det_g * t for t in orig)
+        assert all_fractions(moved + l2_invariants(conj(a), conj(b)).coordinates())
 
 
 class TestTriplesModel:
@@ -160,13 +173,14 @@ class TestTriplesModel:
         assert k3_destabilizer(E11, E11, E11) == (1, 0)
         assert k3_destabilizer(E11, E12, ZERO) == (2, 1)
 
-    @given(mat_st, mat_st, mat_st, vec_st)
+    @given(rat_mat_st, rat_mat_st, rat_mat_st, rat_vec_st)
     def test_conic_identity(self, a, b, c, v):
         p = k3_invariants(a, b, c)
         assume(not p.is_degenerate)
         conic = k3_conic(p)
         x, y, z = k3_semiinvariants(a, b, c, v)
         assert conic.evaluate(x, y, z) == 0
+        assert all_fractions(p.coordinates() + (x, y, z) + conic.coefficients())
 
     @given(mat_st, mat_st, mat_st)
     def test_gram_determinant_is_quarter_h(self, a, b, c):
@@ -198,7 +212,7 @@ class TestTriplesModel:
         assert d in ((1, 0), (2, 0))
         assert not k3_is_stable(a, b, c)
 
-    @given(mat_st, mat_st, mat_st, mat_st, vec_st)
+    @given(rat_mat_st, rat_mat_st, rat_mat_st, mat_st, rat_vec_st)
     @settings(max_examples=60)
     def test_conjugation_equivariance(self, a, b, c, g, v):
         det_g = g[0][0] * g[1][1] - g[0][1] * g[1][0]
@@ -229,6 +243,7 @@ class TestTriplesModel:
         orig = k3_semiinvariants(a, b, c, v)
         moved = k3_semiinvariants(conj(a), conj(b), conj(c), gv)
         assert moved == tuple(det_g * t for t in orig)
+        assert all_fractions(moved + k3_invariants(conj(a), conj(b), conj(c)).coordinates())
 
 
 class TestBinaryFormRoots:
@@ -260,6 +275,17 @@ class TestBinaryFormRoots:
     def test_int_and_fraction_input_agree(self, forms):
         as_fractions = [tuple(Fraction(c) for c in f) for f in forms]
         assert binary_forms_common_root(forms) == binary_forms_common_root(as_fractions)
+
+    @given(st.lists(st.tuples(entries, entries, entries), max_size=4), st.booleans(), rat_vec_st)
+    @settings(max_examples=300)
+    def test_rank_test_matches_euclid_oracle(self, forms, plant, root):
+        if plant:
+            # (r1 s - r0 t)(p s + q t): every form vanishes at (r0 : r1)
+            r0, r1 = root
+            forms = [(r1 * p, r1 * q - r0 * p, -r0 * q) for p, q, _ in forms]
+        assert binary_forms_common_root(forms) == common_root_by_euclid(forms)
+        if plant:
+            assert binary_forms_common_root(forms)
 
 
 class TestConicFitting:
