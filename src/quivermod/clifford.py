@@ -552,11 +552,7 @@ def hilbert_polynomial_quadric(n: int, t: int) -> int:
 
 
 def _binom_poly(top: int, k: int) -> int:
-    """binom(top, k) as the polynomial top (top-1) ... (top-k+1) / k!, any integer top."""
-    num = 1
-    for i in range(k):
-        num *= top - i
-    den = math.factorial(k)
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    """binom(top, k) extended polynomially to any integer top (upper negation below 0)."""
+    if top >= 0:
+        return math.comb(top, k)
+    return (-1) ** k * math.comb(k - top - 1, k)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .clifford import QuaternionAlgebra, form_from_conic, quaternion_from_ternary
-from .linalg import clear_denominators, factor, mat_vec, primitive_int_vector
+from .clifford import QuaternionAlgebra, form_from_conic
+from .linalg import factor, mat_vec, primitive_int_vector
 from .models import ConicFiber, K3Point, L2Point, k3_conic, l2_conic
 
 REAL_PLACE = "real"
@@ -45,6 +45,14 @@ def _square_class_int(u: Rational) -> int:
     if f == 0:
         raise ValueError("hilbert symbol arguments must be nonzero")
     return f.numerator * f.denominator
+
+
+def _prime_exponents(x: Rational) -> Counter:
+    """Prime exponents of |n| d for x = n/d, with n and d factored apart."""
+    exps = Counter(factor(x.numerator))
+    if x.denominator > 1:
+        exps.update(factor(x.denominator))
+    return exps
 
 
 def _split_valuation(n: int, p: int) -> tuple[int, int]:
@@ -99,10 +107,8 @@ def relevant_places(u: Rational, v: Rational) -> tuple[Place, ...]:
 
     The symbol is +1 at every other place.
     """
-    a = _square_class_int(u)
-    b = _square_class_int(v)
-    odd = sorted((factor(a).keys() | factor(b).keys()) - {2})
-    return (REAL_PLACE, 2, *odd)
+    primes = _prime_exponents(u).keys() | _prime_exponents(v).keys()
+    return (REAL_PLACE, 2, *sorted(primes - {2}))
 
 
 def symbol_profile(u: Rational, v: Rational) -> tuple[HilbertSymbolEvaluation, ...]:
@@ -134,20 +140,17 @@ def _legendre_reduce(a: Rational, b: Rational, c: Rational):
     Returns (a', b', c', m, primes): the diagonal map x_i -> m[i] x_i (m
     integral) takes solutions of the reduced form to solutions of
     diag(a,b,c) x^2 = 0, and primes[i] lists the primes of the i-th reduced
-    coefficient in increasing order. Each input is factored once. Per prime p:
-    the power common to all three divides the form; a remaining p^(2k) in one
+    coefficient in increasing order. A coefficient n/d is read as its square
+    class n d, so m[i] starts at d: (n/d)(d x)^2 = n d x^2. Per prime p: the
+    power common to all three divides the form; a remaining p^(2k) in one
     coefficient is absorbed by scaling the other two variables by p^k; and p
     left in two coefficients moves to the third (scale its variable by p, then
-    divide the form by p). A Fraction n/d stands for n d, its square class,
-    with n and d factored apart; m then solves the form scaled to those.
+    divide the form by p).
     """
     coeffs = [1 if x > 0 else -1 for x in (a, b, c)]
-    m = [1, 1, 1]
+    m = [x.denominator for x in (a, b, c)]
     primes: tuple[list[int], ...] = ([], [], [])
-    facs = [
-        Counter(factor(x.numerator)) + Counter(factor(x.denominator)) if x.denominator > 1
-        else factor(x.numerator) for x in (a, b, c)
-    ]
+    facs = [_prime_exponents(x) for x in (a, b, c)]
     for p in sorted(facs[0].keys() | facs[1].keys() | facs[2].keys()):
         e = [f.get(p, 0) for f in facs]
         low = min(e)
@@ -348,21 +351,20 @@ def _lattice_zero(
 def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
     """Decide solvability of the plane conic and produce a primitive witness.
 
-    The decision is local: diagonalize, clear denominators and decide the
-    diagonal form by _locally_isotropic. When solvable, the witness comes
-    from the same reduced form by lattice reduction
-    (Cremona and Rusin, Math. Comp. 72, 2003; D. Simon, Math. Comp. 74, 2005):
-    the lattice where the form vanishes mod abc is LLL-reduced, and a zero is
-    read off a basis vector or found in a search bounded by Cassels' small-zero
-    bound. The witness is verified exactly against the input conic; a failure
-    anywhere on this path raises RuntimeError or AssertionError, since it would
-    contradict the local decision.
+    The decision is local: diagonalize (a 0 on the diagonal is a degenerate
+    conic) and decide the rational diagonal by _locally_isotropic. When
+    solvable, the witness comes from the same reduced form by lattice
+    reduction (Cremona and Rusin, Math. Comp. 72, 2003; D. Simon, Math. Comp.
+    74, 2005): the lattice where the form vanishes mod abc is LLL-reduced, and
+    a zero is read off a basis vector or found in a search bounded by Cassels'
+    small-zero bound. The witness is verified exactly against the input conic;
+    a failure anywhere on this path raises RuntimeError or AssertionError,
+    since it would contradict the local decision.
     """
-    if not conic.is_nondegenerate:
+    coeffs, p_mat = form_from_conic(conic).diagonalize()
+    if 0 in coeffs:  # the Gram matrix is congruent to diag(2 coeffs)
         raise ValueError("conic is degenerate")
-    form = form_from_conic(conic)
-    coeffs, p_mat = form.diagonalize()
-    solvable, (a, b, c, m, primes) = _locally_isotropic(*clear_denominators(coeffs))
+    solvable, (a, b, c, m, primes) = _locally_isotropic(*coeffs)
     if not solvable:
         return ConicPointResult(False, None)
     found = _lattice_zero(a, b, c, primes)
@@ -377,9 +379,9 @@ def clifford_invariant_of_model_point(
 ) -> tuple[QuaternionAlgebra, bool]:
     """Quaternion class of the conic fiber over a stable model point, with verdict.
 
-    Stability is h != 0; the quaternion is extracted from the fiber conic, and
-    splits iff the conic's diagonal <alpha, beta, gamma> is isotropic, which
-    factors each coefficient rather than u = -alpha beta.
+    Stability is h != 0. From the fiber conic's one diagonal <alpha, beta,
+    gamma>, the class is (-alpha beta, -beta gamma) (quaternion_from_ternary
+    is the test oracle), and it splits iff that diagonal is isotropic.
     """
     if isinstance(point, L2Point):
         conic = l2_conic(point)
@@ -389,6 +391,6 @@ def clifford_invariant_of_model_point(
         raise TypeError(f"expected a model point, got {type(point).__name__}")
     if point.h == 0:
         raise ValueError("point is not stable (h = 0)")
-    form = form_from_conic(conic)
-    coeffs, _ = form.diagonalize()
-    return quaternion_from_ternary(form), _locally_isotropic(*coeffs)[0]
+    alpha, beta, gamma = form_from_conic(conic).diagonalize()[0]
+    split = _locally_isotropic(alpha, beta, gamma)[0]
+    return QuaternionAlgebra(-alpha * beta, -beta * gamma), split

@@ -1,13 +1,19 @@
+import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
 from quivermod.cli import main
+from quivermod.clifford import form_from_conic
+from quivermod.hilbert import hilbert_symbol
 from quivermod.kronecker import ScanResult
+from quivermod.models import ConicFiber
 
 
 def run(capsys, argv):
@@ -229,6 +235,47 @@ class TestAlgebraCommands:
         code, out, _ = run(capsys, ["hilbpoly", "--n", "1", "--t", "3"])
         assert code == 0
         assert out == ["7"]
+
+    def test_hilbpoly_large_n(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, ["hilbpoly", "--n", "200000", "--t", "3"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        assert out == ["1333393334000002"]
+
+    def test_hilbert_factors_numerator_and_denominator_apart(self, capsys):
+        # n d = 70368693845881 is beyond the factoring capacity; n and d are not
+        code, out, _ = run(capsys, ["hilbert", "--", "8388617/8388593", "3"])
+        assert code == 0
+        assert out == [
+            "place\treal\t1", "place\t2\t1", "place\t3\t1",
+            "place\t8388593\t-1", "place\t8388617\t-1", "split\tfalse",
+        ]
+
+    def test_conic_rational_unsolvable(self, capsys):
+        argv = ["-6564", "8653/1000", "-5694/97", "6384", "-1174", "740"]
+        code, out, _ = run(capsys, ["conic", "--", *argv])
+        assert code == 0
+        assert out == ["solvable\tfalse"]
+        # cross-check: the symbol (-alpha gamma, -beta gamma) of the diagonal is
+        # -1 at some place among the primes of its numerators and denominators
+        c = [Fraction(x) for x in argv]
+        alpha, beta, gamma = form_from_conic(ConicFiber(*c)).diagonalize()[0]
+        primes = set()
+        for x in (alpha, beta, gamma):
+            primes |= set(sympy.factorint(x.numerator * x.denominator)) - {-1}
+        symbols = [hilbert_symbol(-alpha * gamma, -beta * gamma, place)
+                   for place in ["real", 2, *sorted(primes - {2})]]
+        assert -1 in symbols and math.prod(symbols) == 1
+
+    def test_conic_rational_witness(self, capsys):
+        argv = ["6499/1000", "-799/100", "5469", "-3617/1000", "-3206/97", "6113/97"]
+        code, out, _ = run(capsys, ["conic", "--", *argv])
+        assert code == 0
+        assert out[0] == "solvable\ttrue" and len(out) == 2
+        witness = [int(t) for t in out[1].split("\t")[1:]]
+        assert ConicFiber(*[Fraction(x) for x in argv]).evaluate(*witness) == 0
+        assert math.gcd(*witness) == 1
 
 
 class TestQuiverFiles:

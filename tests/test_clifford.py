@@ -849,7 +849,23 @@ class TestFormFromConic:
         assert form.value(v) == conic.evaluate(*v)
 
 
+def binom_product(top: int, k: int) -> int:
+    """binom(top, k) as top (top-1) ... (top-k+1) / k!: the product formula,
+    kept here as the oracle for clifford._binom_poly."""
+    num = 1
+    for i in range(k):
+        num *= top - i
+    q, r = divmod(num, math.factorial(k))
+    assert r == 0
+    return q
+
+
 class TestHilbertPolynomial:
+    def test_binom_matches_product_formula(self):
+        for top in range(-60, 61):
+            for k in range(41):
+                assert clifford_module._binom_poly(top, k) == binom_product(top, k)
+
     def test_line_counts(self):
         for t in range(11):
             assert hilbert_polynomial_quadric(1, t) == 2 * t + 1

@@ -9,7 +9,12 @@ from hypothesis import assume, given, settings, strategies as st
 from sympy.ntheory import is_quad_residue
 
 import quivermod.hilbert as hilbert_module
-from quivermod.clifford import QuaternionAlgebra, form_from_conic
+from quivermod.clifford import (
+    QuadraticFormB,
+    QuaternionAlgebra,
+    form_from_conic,
+    quaternion_from_ternary,
+)
 from quivermod.hilbert import (
     REAL_PLACE,
     _lattice_zero,
@@ -26,7 +31,7 @@ from quivermod.hilbert import (
     symbol_profile,
 )
 from quivermod.linalg import factor
-from quivermod.models import ConicFiber, K3Point, L2Point, l2_conic
+from quivermod.models import ConicFiber, K3Point, L2Point, k3_conic, l2_conic
 
 PLACES = (REAL_PLACE, 2, 3, 5, 7)
 
@@ -272,6 +277,16 @@ class TestConicPoints:
             for o2, r2 in pairs:
                 assert o1 * r2 == o2 * r1
 
+    @given(nonzero_rat, nonzero_rat, nonzero_rat)
+    @settings(max_examples=80)
+    def test_legendre_reduce_scale_solves_the_rational_form(self, a, b, c):
+        # m takes in each denominator, so it maps the reduced form to a
+        # multiple of the form it was given, not of its cleared square classes
+        ra, rb, rc, m, _ = _legendre_reduce(a, b, c)
+        assert all(isinstance(x, int) and x > 0 for x in m)
+        ratios = {x * mi * mi / r for x, mi, r in zip((a, b, c), m, (ra, rb, rc))}
+        assert len(ratios) == 1
+
     def test_squarefree_decompose(self):
         assert squarefree_decompose(72) == (6, 2)
         assert squarefree_decompose(-18) == (3, -2)
@@ -442,6 +457,8 @@ class TestLatticeSolver:
         assert time.perf_counter() - start < 2.0
 
     def test_factors_each_reduced_coefficient_once(self, monkeypatch):
+        # the integers factored are exactly the diagonal's numerators and its
+        # denominators other than 1, each once: no product is ever factored
         calls = []
         real_factor = hilbert_module.factor
 
@@ -457,9 +474,12 @@ class TestLatticeSolver:
             conic = ConicFiber(*coeffs)
             if not conic.is_nondegenerate:
                 continue
+            diagonal, _ = form_from_conic(conic).diagonalize()
+            expected = [x.numerator for x in diagonal]
+            expected += [x.denominator for x in diagonal if x.denominator != 1]
             calls.clear()
             conic_has_rational_point(conic)
-            assert len(calls) <= 3
+            assert sorted(calls) == sorted(expected)
 
     @pytest.mark.parametrize("a, b, c", [
         (8388617, 8389651, -8390623),
@@ -509,6 +529,40 @@ class TestModelPointInvariant:
         quat, split = clifford_invariant_of_model_point(K3Point(-1, 0, 0, 8388617, 0, 8388593))
         assert time.perf_counter() - start < 0.1
         assert (quat.u, quat.v, split) == (-70368693845881, 8388617, False)
+
+    @given(st.one_of(
+        st.tuples(*[nonzero_rat | st.just(Fraction(0))] * 5).map(lambda c: L2Point(*c)),
+        st.tuples(*[nonzero_rat | st.just(Fraction(0))] * 6).map(lambda c: K3Point(*c)),
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_quaternion_matches_clifford_extraction(self, point):
+        # quaternion_from_ternary builds the even Clifford algebra of the fibre
+        # and checks its structure constants: the oracle of the one-diagonal path
+        assume(point.h != 0)
+        conic = l2_conic(point) if isinstance(point, L2Point) else k3_conic(point)
+        quat, _ = clifford_invariant_of_model_point(point)
+        assert quat == quaternion_from_ternary(form_from_conic(conic))
+
+    def test_diagonalizes_once(self, monkeypatch):
+        calls = []
+        real = QuadraticFormB.diagonalize
+
+        def spy(form):
+            calls.append(form)
+            return real(form)
+
+        monkeypatch.setattr(QuadraticFormB, "diagonalize", spy)
+        points = [
+            L2Point(Fraction(-1), Fraction(0), Fraction(-1), Fraction(0), Fraction(0)),
+            L2Point(Fraction(1, 2), Fraction(2, 3), Fraction(-5), Fraction(1, 7), Fraction(3)),
+            K3Point(Fraction(1), Fraction(0), Fraction(0),
+                    Fraction(-1), Fraction(0), Fraction(-1)),
+            K3Point(-1, 0, 0, 8388617, 0, 8388593),
+        ]
+        for point in points:
+            calls.clear()
+            clifford_invariant_of_model_point(point)
+            assert len(calls) == 1
 
     def test_rejects_unstable_point(self):
         point = L2Point(Fraction(1), Fraction(1), Fraction(1), Fraction(0), Fraction(0))
