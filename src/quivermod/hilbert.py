@@ -17,7 +17,6 @@ failure on a locally solvable form is an internal contradiction
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
@@ -47,12 +46,18 @@ def _square_class_int(u: Rational) -> int:
     return f.numerator * f.denominator
 
 
-def _prime_exponents(x: Rational) -> Counter:
-    """Prime exponents of |n| d for x = n/d, with n and d factored apart."""
-    exps = Counter(factor(x.numerator))
-    if x.denominator > 1:
-        exps.update(factor(x.denominator))
-    return exps
+def _varying_exponents(*xs: Rational) -> dict[int, list[int]]:
+    """{p: exponents above the lowest of p in the square classes |n| d of the
+    nonzero xs = n/d}, for each prime p they differ at. Only a coprime base of
+    the n and d (split by gcds) is factored, and only its parts whose power varies."""
+    squares = [abs(_square_class_int(x)) for x in xs]
+    base = {abs(y) for x in map(Fraction, xs) for y in (x.numerator, x.denominator)} - {1}
+    while pair := next(((x, y) for x in base for y in base if x < y and math.gcd(x, y) > 1), None):
+        (x, y), h = pair, math.gcd(*pair)
+        base = base - {x, y} | {h, x // h, y // h} - {1}
+    return {p: [(k - min(powers)) * e for k in powers] for q in base
+            if len(set(powers := [_split_valuation(s, q)[0] for s in squares])) > 1
+            for p, e in factor(q).items()}
 
 
 def _split_valuation(n: int, p: int) -> tuple[int, int]:
@@ -107,7 +112,7 @@ def relevant_places(u: Rational, v: Rational) -> tuple[Place, ...]:
 
     The symbol is +1 at every other place.
     """
-    primes = _prime_exponents(u).keys() | _prime_exponents(v).keys()
+    primes = _varying_exponents(u, v, 1).keys()  # 1 has no prime: every one varies
     return (REAL_PLACE, 2, *sorted(primes - {2}))
 
 
@@ -141,8 +146,9 @@ def _legendre_reduce(a: Rational, b: Rational, c: Rational):
     integral) takes solutions of the reduced form to solutions of
     diag(a,b,c) x^2 = 0, and primes[i] lists the primes of the i-th reduced
     coefficient in increasing order. A coefficient n/d is read as its square
-    class n d, so m[i] starts at d: (n/d)(d x)^2 = n d x^2. Per prime p: the
-    power common to all three divides the form; a remaining p^(2k) in one
+    class n d, so m[i] starts at d: (n/d)(d x)^2 = n d x^2. Per prime p, the
+    power common to all three divides the form (_varying_exponents gives the
+    rest, at the primes where one is left); a remaining p^(2k) in one
     coefficient is absorbed by scaling the other two variables by p^k; and p
     left in two coefficients moves to the third (scale its variable by p, then
     divide the form by p).
@@ -150,13 +156,10 @@ def _legendre_reduce(a: Rational, b: Rational, c: Rational):
     coeffs = [1 if x > 0 else -1 for x in (a, b, c)]
     m = [x.denominator for x in (a, b, c)]
     primes: tuple[list[int], ...] = ([], [], [])
-    facs = [_prime_exponents(x) for x in (a, b, c)]
-    for p in sorted(facs[0].keys() | facs[1].keys() | facs[2].keys()):
-        e = [f.get(p, 0) for f in facs]
-        low = min(e)
-        halves = [p ** ((ei - low) // 2) for ei in e]
+    for p, e in sorted(_varying_exponents(a, b, c).items()):
+        halves = [p ** (ei // 2) for ei in e]
         m = [mi * math.prod(halves) // h for mi, h in zip(m, halves)]
-        odd = [i for i in range(3) if (e[i] - low) % 2]
+        odd = [i for i in range(3) if e[i] % 2]
         if len(odd) == 2:
             (i,) = {0, 1, 2} - set(odd)
             m[i] *= p

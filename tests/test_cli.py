@@ -277,6 +277,25 @@ class TestAlgebraCommands:
         assert ConicFiber(*[Fraction(x) for x in argv]).evaluate(*witness) == 0
         assert math.gcd(*witness) == 1
 
+    # N = 8388617 * 8388593 is beyond the factoring capacity, but its primes
+    # are not: a shared denominator divides out of the form, and the others
+    # are split by gcds before anything is factored
+    @pytest.mark.parametrize("argv, expected", [
+        (["1/70368693845881", "1/70368693845881", "-1/70368693845881", "0", "0", "0"],
+         ["solvable\ttrue", "witness\t1\t0\t1"]),
+        (["1/70368693845881", "6/8388617", "-6/8388593", "0", "0", "0"],
+         ["solvable\ttrue", "witness\t12\t-1\t-1"]),
+        (["1/70368693845881", "1/8388617", "-1/8388593", "0", "0", "0"],
+         ["solvable\tfalse"]),
+    ])
+    def test_conic_shared_large_denominators(self, capsys, argv, expected):
+        code, out, _ = run(capsys, ["conic", "--", *argv])
+        assert code == 0
+        assert out == expected
+        if out[0] == "solvable\ttrue":
+            witness = [int(t) for t in out[1].split("\t")[1:]]
+            assert ConicFiber(*[Fraction(x) for x in argv]).evaluate(*witness) == 0
+
 
 class TestQuiverFiles:
     def test_file_based_quiver(self, capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import time
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from conic_oracle import holzer_search, squarefree_decompose
 from hypothesis import assume, given, settings, strategies as st
+from sympy import factorint, multiplicity
 from sympy.ntheory import is_quad_residue
 
 import quivermod.hilbert as hilbert_module
@@ -23,6 +25,7 @@ from quivermod.hilbert import (
     _reduced_lattice,
     _small_zero,
     _sqrt_mod,
+    _varying_exponents,
     clifford_invariant_of_model_point,
     conic_has_rational_point,
     hilbert_symbol,
@@ -38,6 +41,13 @@ PLACES = (REAL_PLACE, 2, 3, 5, 7)
 nonzero_int = st.integers(-30, 30).filter(lambda x: x != 0)
 nonzero_rat = st.builds(
     Fraction, st.integers(-30, 30).filter(lambda x: x != 0), st.integers(1, 12)
+)
+
+# numerators and denominators from a few primes, so that they share factors
+shared_prime_part = st.lists(st.sampled_from((2, 3, 5, 9973, 10007)), max_size=4).map(math.prod)
+shared_prime_rat = st.builds(
+    lambda sign, n, d: Fraction(sign * n, d),
+    st.sampled_from((1, -1)), shared_prime_part, shared_prime_part,
 )
 
 
@@ -164,10 +174,23 @@ class TestRelevantPlaces:
     def test_frozen(self):
         assert relevant_places(-6, Fraction(10, 3)) == (REAL_PLACE, 2, 3, 5)
         assert relevant_places(1, 1) == (REAL_PLACE, 2)
+        assert relevant_places(0.5, 2.5) == (REAL_PLACE, 2, 5)
 
     def test_rejects_zero(self):
-        with pytest.raises(ValueError):
-            relevant_places(0, 1)
+        for u, v in ((0, 1), (1, 0), (Fraction(0), Fraction(1, 3))):
+            with pytest.raises(ValueError, match="must be nonzero"):
+                relevant_places(u, v)
+
+    @given(st.lists(shared_prime_rat, min_size=1, max_size=4))
+    @settings(max_examples=150)
+    def test_varying_exponents(self, xs):
+        squares = [abs(x.numerator) * x.denominator for x in xs]
+        expected = {}
+        for p in set().union(*map(factorint, squares)):
+            e = [multiplicity(p, s) for s in squares]
+            if len(set(e)) > 1:
+                expected[p] = [k - min(e) for k in e]
+        assert _varying_exponents(*xs) == expected
 
     @given(nonzero_rat, nonzero_rat)
     @settings(max_examples=60)
@@ -457,8 +480,9 @@ class TestLatticeSolver:
         assert time.perf_counter() - start < 2.0
 
     def test_factors_each_reduced_coefficient_once(self, monkeypatch):
-        # the integers factored are exactly the diagonal's numerators and its
-        # denominators other than 1, each once: no product is ever factored
+        # every integer factored divides a numerator or a denominator of the
+        # diagonal, and no two share a prime: no product of them is factored,
+        # and no prime is found twice
         calls = []
         real_factor = hilbert_module.factor
 
@@ -475,11 +499,11 @@ class TestLatticeSolver:
             if not conic.is_nondegenerate:
                 continue
             diagonal, _ = form_from_conic(conic).diagonalize()
-            expected = [x.numerator for x in diagonal]
-            expected += [x.denominator for x in diagonal if x.denominator != 1]
+            parts = [abs(y) for x in diagonal for y in (x.numerator, x.denominator)]
             calls.clear()
             conic_has_rational_point(conic)
-            assert sorted(calls) == sorted(expected)
+            assert all(n > 1 and any(y % n == 0 for y in parts) for n in calls)
+            assert all(math.gcd(n, k) == 1 for n, k in itertools.combinations(calls, 2))
 
     @pytest.mark.parametrize("a, b, c", [
         (8388617, 8389651, -8390623),
