@@ -56,8 +56,6 @@ def main(argv=None) -> int:
     parser.add_argument("--loop-d-max", type=int, default=12)
     parser.add_argument("--kronecker-m-max", type=int, default=8)
     parser.add_argument("--kronecker-d-max", type=int, default=10)
-    parser.add_argument("--workers", type=int, default=None,
-                        help="accepted and ignored; the scans run in one process")
     args = parser.parse_args(argv)
     out = io.StringIO()  # held back, as in quivermod.cli, so an error leaves stdout empty
     try:
@@ -72,9 +70,7 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     loop = loop_criterion_exceptions(
-        range(2, args.loop_m_max + 1),
-        range(2, args.loop_d_max + 1),
-        workers=args.workers,
+        range(2, args.loop_m_max + 1), range(2, args.loop_d_max + 1)
     )
     print(f"loop scan: {loop.scanned} cells in {loop.elapsed:.3f}s")
     for m, d in loop.exceptions:
@@ -83,7 +79,6 @@ def _run(args) -> int:
     kron = kronecker_criterion_exceptions(
         range(3, args.kronecker_m_max + 1),
         grid_box(args.kronecker_d_max, args.kronecker_d_max),
-        workers=args.workers,
     )
     print(f"kronecker scan: {kron.scanned} cells in {kron.elapsed:.3f}s")
     for m, d in kron.exceptions:

@@ -31,7 +31,6 @@ from .stability import (
     strictly_semistable_wall_codim,
 )
 from .kronecker import (
-    KroneckerInstance,
     KroneckerTrace,
     NormalizationResult,
     ScanResult,

@@ -86,7 +86,14 @@ def _mat2_arg(text: str, name: str) -> list[list[Fraction]]:
 def _fmt(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    return str(x)
+    try:
+        return str(x)
+    except ValueError:
+        # the interpreter's int-to-str digit limit; the conversion is
+        # quadratic before Python 3.12, so the limit is not raised
+        raise ValueError(
+            f"capacity: output has more than {sys.get_int_max_str_digits()} digits"
+        ) from None
 
 
 def _row(*cells) -> None:
@@ -165,61 +172,48 @@ def _cmd_fine(args) -> int:
     return 0
 
 
-def _cmd_verify_loop(args) -> int:
-    result = loop_criterion_exceptions(
-        range(2, args.m_max + 1), range(2, args.d_max + 1), workers=args.workers
-    )
-    expected = expected_loop_exceptions(args.m_max, args.d_max)
+def _verify(result, expected, fmt) -> int:
     for m, d in result.exceptions:
-        _row("exception", m, d)
+        _row("exception", m, fmt(d))
     match = tuple(result.exceptions) == expected
     _row("exceptions", len(result.exceptions), "expected", len(expected),
          "MATCH" if match else "MISMATCH")
     return 0 if match else 1
+
+
+def _cmd_verify_loop(args) -> int:
+    result = loop_criterion_exceptions(range(2, args.m_max + 1), range(2, args.d_max + 1))
+    return _verify(result, expected_loop_exceptions(args.m_max, args.d_max), str)
 
 
 def _cmd_verify_kronecker(args) -> int:
     result = kronecker_criterion_exceptions(
-        range(3, args.m_max + 1), grid_box(args.d_max, args.d_max), workers=args.workers
+        range(3, args.m_max + 1), grid_box(args.d_max, args.d_max)
     )
-    expected = expected_kronecker_exceptions(args.m_max, args.d_max)
-    for m, d in result.exceptions:
-        _row("exception", m, ",".join(map(str, d)))
-    match = tuple(result.exceptions) == expected
-    _row("exceptions", len(result.exceptions), "expected", len(expected),
-         "MATCH" if match else "MISMATCH")
-    return 0 if match else 1
+    return _verify(result, expected_kronecker_exceptions(args.m_max, args.d_max),
+                   lambda d: ",".join(map(str, d)))
+
+
+def _model(args, names, invariants, is_stable, conic, semiinvariants) -> int:
+    mats = [_mat2_arg(getattr(args, name), name) for name in names]
+    point = invariants(*mats)
+    _row("invariants", *point.coordinates())
+    _row("stable", is_stable(*mats))
+    _row("conic", *conic(point).coefficients())
+    if args.v is not None:
+        v = _fracs(args.v)
+        if len(v) != 2:
+            raise ValueError("--v needs 2 entries")
+        _row("semiinvariants", *semiinvariants(*mats, v))
+    return 0
 
 
 def _cmd_l2(args) -> int:
-    a_mat = _mat2_arg(args.A, "A")
-    b_mat = _mat2_arg(args.B, "B")
-    point = l2_invariants(a_mat, b_mat)
-    _row("invariants", *point.coordinates())
-    _row("stable", l2_is_stable(a_mat, b_mat))
-    _row("conic", *l2_conic(point).coefficients())
-    if args.v is not None:
-        v = _fracs(args.v)
-        if len(v) != 2:
-            raise ValueError("--v needs 2 entries")
-        _row("semiinvariants", *l2_semiinvariants(a_mat, b_mat, v))
-    return 0
+    return _model(args, "AB", l2_invariants, l2_is_stable, l2_conic, l2_semiinvariants)
 
 
 def _cmd_k3(args) -> int:
-    a_mat = _mat2_arg(args.A, "A")
-    b_mat = _mat2_arg(args.B, "B")
-    c_mat = _mat2_arg(args.C, "C")
-    point = k3_invariants(a_mat, b_mat, c_mat)
-    _row("invariants", *point.coordinates())
-    _row("stable", k3_is_stable(a_mat, b_mat, c_mat))
-    _row("conic", *k3_conic(point).coefficients())
-    if args.v is not None:
-        v = _fracs(args.v)
-        if len(v) != 2:
-            raise ValueError("--v needs 2 entries")
-        _row("semiinvariants", *k3_semiinvariants(a_mat, b_mat, c_mat, v))
-    return 0
+    return _model(args, "ABC", k3_invariants, k3_is_stable, k3_conic, k3_semiinvariants)
 
 
 def _cmd_clifford(args) -> int:
@@ -332,16 +326,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-loop", help="re-run the loop quiver case analysis")
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--d-max", type=int, default=12)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted and ignored; the scans run in one process")
     p.set_defaults(func=_cmd_verify_loop)
 
     p = sub.add_parser("verify-kronecker",
                        help="re-run the generalized Kronecker case analysis")
     p.add_argument("--m-max", type=int, default=8)
     p.add_argument("--d-max", type=int, default=10)
-    p.add_argument("--workers", type=int, default=None,
-                   help="accepted and ignored; the scans run in one process")
     p.set_defaults(func=_cmd_verify_kronecker)
 
     p = sub.add_parser("l2", help="invariants of a pair of 2x2 matrices")

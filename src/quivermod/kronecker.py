@@ -2,11 +2,16 @@
 generalized Kronecker quivers.
 
 For m-Kronecker quivers the scan normalizes each dimension vector into the
-window d1 <= d2 <= (m/2) d1 using source/sink reflections and dualization,
-skips vectors whose reduced coprime part (p, q) has m p q - p^2 - q^2 < 0
-(empty or zero-dimensional moduli), and runs the criterion with theta = (1, 0)
-once on each distinct normalized vector, since many grid cells share one
-normalized representative. Exceptions are recorded by normalized vector.
+window d1 <= d2 <= (m/2) d1 using sink reflections and dualization, and runs
+the criterion with theta = (1, 0) once on each distinct normalized vector,
+since many grid cells share one normalized representative. Exceptions are
+recorded by normalized vector.
+
+Vectors with empty or zero-dimensional moduli need no separate skip. Both
+moves keep the Tits form d1^2 + d2^2 - m d1 d2, and in the window that form
+is <= 0, because m d1 d2 >= 2 d2^2 >= d1^2 + d2^2. A cell whose coprime part
+(p, q) = d / gcd(d) has m p q - p^2 - q^2 < 0 has a positive Tits form, so it
+never reaches the window and normalizes to `degenerate`.
 """
 from __future__ import annotations
 
@@ -19,34 +24,6 @@ from .quiver import kronecker_quiver, loop_quiver
 from .stability import check_ample_stability_criterion
 
 Pair = tuple[int, int]
-
-
-@dataclass(frozen=True)
-class KroneckerInstance:
-    """An m-Kronecker dimension vector with its coprime reduction (n p, n q)."""
-
-    m: int
-    d: Pair
-
-    def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be positive")
-        if len(self.d) != 2 or any(x < 0 for x in self.d) or self.d == (0, 0):
-            raise ValueError("d must be a nonzero pair of nonnegative integers")
-
-    @property
-    def n(self) -> int:
-        return math.gcd(*self.d)
-
-    @property
-    def pq(self) -> Pair:
-        n = self.n
-        return (self.d[0] // n, self.d[1] // n)
-
-    @property
-    def is_normalized(self) -> bool:
-        d1, d2 = self.d
-        return 0 < d1 <= d2 and 2 * d2 <= self.m * d1
 
 
 def kronecker_reflect_source(m: int, d: Sequence[int]) -> Pair:
@@ -83,8 +60,10 @@ class NormalizationResult:
 def normalize_kronecker(m: int, d: Sequence[int]) -> NormalizationResult:
     """Drive d into the window d1 <= d2 <= (m/2) d1 by dualize / sink reflections.
 
-    Orbits that hit a zero entry, would leave the nonnegative cone, or revisit a
-    state are flagged degenerate; this covers real-root vectors and small cases.
+    Orbits that hit a zero entry or would leave the nonnegative cone are flagged
+    degenerate; this covers real-root vectors and small cases. No state recurs:
+    each sink move lowers d1 + d2, since 2 d2 > m d1 gives m d1 - d2 < d2, and
+    after a dualize d1 < d2, so two dualizes never come in a row.
     """
     if m < 3:
         raise ValueError("normalization window needs m >= 3")
@@ -92,11 +71,7 @@ def normalize_kronecker(m: int, d: Sequence[int]) -> NormalizationResult:
     if any(x < 0 for x in cur):
         raise ValueError("d must be nonnegative")
     moves: list[str] = []
-    seen = set()
-    while True:
-        if cur[0] == 0 or cur[1] == 0 or cur in seen:
-            return NormalizationResult(None, tuple(moves))
-        seen.add(cur)
+    while 0 not in cur:
         if cur[0] > cur[1]:
             cur = kronecker_dualize(cur)
             moves.append("dualize")
@@ -105,9 +80,10 @@ def normalize_kronecker(m: int, d: Sequence[int]) -> NormalizationResult:
             return NormalizationResult(cur, tuple(moves))
         nxt = m * cur[0] - cur[1]
         if nxt < 0:
-            return NormalizationResult(None, tuple(moves))
+            break
         cur = (cur[0], nxt)
         moves.append("sink")
+    return NormalizationResult(None, tuple(moves))
 
 
 @dataclass(frozen=True)
@@ -122,7 +98,9 @@ def loop_criterion_exceptions(
 ) -> ScanResult:
     """Run the criterion on every loop quiver cell; slope is constant on one
     vertex so every proper decomposition qualifies and theta is irrelevant.
-    `workers` is accepted and ignored: the scan runs in one process."""
+
+    The scan runs in one process and ignores `workers`; the keyword stays
+    because the benchmark harness (`perfbench/worker.py`) passes it."""
     ms = sorted(set(int(m) for m in m_range))
     ds = sorted(set(int(d) for d in d_range))
     if not ms or not ds:
@@ -151,7 +129,8 @@ def kronecker_criterion_exceptions(
     """Scan (m, cell) pairs; criterion failures are keyed by normalized vector.
 
     For each m the criterion runs once on each distinct normalized vector of
-    the box. `workers` is accepted and ignored: the scan runs in one process.
+    the box. The scan runs in one process and ignores `workers`; the keyword
+    stays because the benchmark harness (`perfbench/worker.py`) passes it.
     """
     ms = sorted(set(int(m) for m in m_range))
     cells = sorted(set((int(a), int(b)) for a, b in box))
@@ -164,15 +143,7 @@ def kronecker_criterion_exceptions(
     t0 = time.perf_counter()
     exceptions = []
     for m in ms:
-        vectors = set()
-        for cell in cells:
-            n = math.gcd(*cell)
-            p, q = cell[0] // n, cell[1] // n
-            if m * p * q - p * p - q * q < 0:
-                continue  # stable moduli empty or a single point
-            norm = normalize_kronecker(m, cell)
-            if not norm.degenerate:
-                vectors.add(norm.normalized)
+        vectors = {normalize_kronecker(m, cell).normalized for cell in cells} - {None}
         quiver = kronecker_quiver(m)
         exceptions.extend(
             (m, d)
@@ -229,19 +200,20 @@ class KroneckerTrace:
 
 
 def kronecker_inequality_trace(m: int, d: Sequence[int], e: Sequence[int]) -> KroneckerTrace:
-    inst = KroneckerInstance(m, (int(d[0]), int(d[1])))
-    if not inst.is_normalized:
-        raise ValueError(f"{inst.d} is not normalized for m = {m}")
+    d = (int(d[0]), int(d[1]))
+    # the window also rules out m <= 1, zero vectors and negative entries
+    if not (0 < d[0] <= d[1] and 2 * d[1] <= m * d[0]):
+        raise ValueError(f"{d} is not normalized for m = {m}")
     a, b = (int(x) for x in e)
-    c, dd = inst.d[0] - a, inst.d[1] - b
+    c, dd = d[0] - a, d[1] - b
     if min(a, b, c, dd) < 0 or (a, b) == (0, 0) or (c, dd) == (0, 0):
         raise ValueError("e must give a proper decomposition of d")
     if a == 0 or dd == 0:
         # a = 0 forces c = 0 under the slope condition (and dually dd = 0 forces b = 0),
         # so these splits carry no information for the audit
         raise ValueError("degenerate split: first entry of e and last entry of f must be positive")
-    n = inst.n
-    p, q = inst.pq
+    n = math.gcd(*d)
+    p, q = d[0] // n, d[1] // n
     k = p * dd + q * a - n * p * q
     lhs = p * q
     rhs = (m * p * q - p * p - q * q) * a * dd + (p * a + q * dd) * k
@@ -249,7 +221,7 @@ def kronecker_inequality_trace(m: int, d: Sequence[int], e: Sequence[int]) -> Kr
     eq_l = n * a * p + n * dd * q if m == 3 else None
     eq_r = a * a + dd * dd + 3 * a * dd - 1 if m == 3 else None
     return KroneckerTrace(
-        m=m, d=inst.d, n=n, p=p, q=q, a=a, b=b, c=c, dd=dd,
+        m=m, d=d, n=n, p=p, q=q, a=a, b=b, c=c, dd=dd,
         k=k, bound_lhs=lhs, bound_rhs=rhs, bound_holds=lhs >= rhs,
         euler_pairing=pairing, slope_holds=k >= 0,
         equality_lhs=eq_l, equality_rhs=eq_r,

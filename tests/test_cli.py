@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 import sympy
 
-from quivermod.cli import main
+from quivermod.cli import _fmt, main
 from quivermod.clifford import form_from_conic
 from quivermod.hilbert import hilbert_symbol
 from quivermod.kronecker import ScanResult
@@ -131,10 +131,15 @@ class TestVerifyCommands:
         assert out == ["exception\t2\t2", "exceptions\t1\texpected\t1\tMATCH"]
 
     def test_verify_kronecker_match(self, capsys):
-        code, out, _ = run(capsys, ["verify-kronecker", "--m-max", "4", "--d-max", "5",
-                                    "--workers", "1"])
+        code, out, _ = run(capsys, ["verify-kronecker", "--m-max", "4", "--d-max", "5"])
         assert code == 0
         assert out == ["exception\t3\t2,2", "exceptions\t1\texpected\t1\tMATCH"]
+
+    @pytest.mark.parametrize("command", ["verify-loop", "verify-kronecker"])
+    def test_workers_flag_is_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, [command, "--workers", "1"])
+        assert code == 2
+        assert out == [] and "unrecognized arguments: --workers 1" in err
 
     def test_verify_loop_mismatch_exits_one(self, capsys, monkeypatch):
         def fake(m_range, d_range, workers=None):
@@ -242,6 +247,18 @@ class TestAlgebraCommands:
         assert time.perf_counter() - start < 1.0
         assert code == 0
         assert out == ["1333393334000002"]
+
+    def test_output_beyond_the_digit_limit_is_a_capacity_error(self, capsys):
+        # the answer has more digits than str() may make of an int
+        code, out, err = run(capsys, ["hilbpoly", "--n", "20000", "--t", "20000"])
+        assert code == 2
+        assert out == []
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: capacity: output has more than {limit} digits\n"
+
+    def test_fraction_beyond_the_digit_limit_is_a_capacity_error(self):
+        with pytest.raises(ValueError, match="^capacity: "):
+            _fmt(Fraction(10 ** (sys.get_int_max_str_digits() + 1), 3))
 
     def test_hilbert_factors_numerator_and_denominator_apart(self, capsys):
         # n d = 70368693845881 is beyond the factoring capacity; n and d are not
@@ -439,8 +456,65 @@ class TestCaseAnalysisScript:
         assert "  exception: m = 3" not in out.stdout
         assert main(["verify-kronecker", "--d-max", "1"]) == 0
 
+    def test_workers_flag_is_a_usage_error(self):
+        out = self.script("--workers", "1")
+        assert out.returncode == 2 and out.stdout == ""
+        assert "unrecognized arguments: --workers 1" in out.stderr
+
     def test_empty_range_is_one_error_line(self):
         out = self.script("--kronecker-m-max", "2")
         assert out.returncode == 2
         assert out.stderr == "error: kronecker scan needs a nonempty m-range and box\n"
         assert out.stdout == ""
+
+
+# one valid and one malformed argv per subcommand (a bad number token or a
+# vector of the wrong length), for the exit-code contract
+CONTRACT = {
+    "euler": (["--quiver", "kronecker:3", "--d", "2,2", "--e", "2,2"],
+              ["--quiver", "kronecker:3", "--d", "2,x", "--e", "2,2"]),
+    "slope": (["--theta", "1,0", "--d", "2,2"], ["--theta", "1,0", "--d", "2,2,2"]),
+    "gcd": (["--d", "6,10,15"], ["--d", "6,1.5"]),
+    "weights": (["--d", "6,10,15"], ["--d", "6,,15"]),
+    "dim": (["--quiver", "loop:2", "--d", "2"], ["--quiver", "loop:2", "--d", "2,2"]),
+    "amply-stable": (["--quiver", "kronecker:3", "--theta", "1,0", "--d", "2,3"],
+                     ["--quiver", "kronecker:3", "--theta", "1,0", "--d", "2"]),
+    "hn": (["--quiver", "kronecker:3", "--theta", "1,0", "--d", "2,2"],
+           ["--quiver", "kronecker:3", "--theta", "1,0", "--d", "2,2", "--max-parts", "two"]),
+    "wall": (["--quiver", "kronecker:3", "--theta", "1,0", "--d", "2,2"],
+             ["--quiver", "kronecker:3", "--theta", "1,y", "--d", "2,2"]),
+    "brauer": (["--quiver", "kronecker:3", "--theta", "1,0", "--d", "3,3"],
+               ["--quiver", "kronecker:3", "--theta", "1,0", "--d", "3,3,3"]),
+    "fine": (["--d", "2,3"], ["--d", "2,3e"]),
+    "verify-loop": (["--m-max", "3", "--d-max", "4"], ["--m-max", "x"]),
+    "verify-kronecker": (["--m-max", "3", "--d-max", "3"], ["--d-max", "1.5"]),
+    "l2": (["--A", "0,1,1,0", "--B", "1,0,0,-1"], ["--A", "0,1,1", "--B", "1,0,0,-1"]),
+    "k3": (["--A", "1,0,0,1", "--B", "1,0,0,-1", "--C", "0,1,1,0"],
+           ["--A", "1,0,0,1", "--B", "1,0,0,-1", "--C", "0,1,1,z"]),
+    "clifford": (["--b", "0,1,0,1,0,0,0,0,1"], ["--b", "0,1,0,1,0,0,0,0"]),
+    "hilbert": (["1", "1"], ["1", "1/0"]),
+    "conic": (["--", "1", "1", "-1", "0", "0", "0"], ["--", "1", "1", "-1", "0", "0"]),
+    "hilbpoly": (["--n", "1", "--t", "3"], ["--n", "1", "--t", "3.0"]),
+}
+
+
+def test_contract_covers_every_subcommand():
+    from quivermod.cli import _build_parser
+
+    subparsers = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert sorted(CONTRACT) == sorted(subparsers.choices)
+
+
+@pytest.mark.parametrize("command", sorted(CONTRACT))
+@pytest.mark.parametrize("kind", ["valid", "malformed"])
+def test_exit_code_contract(capsys, command, kind):
+    argv = [command, *CONTRACT[command][kind == "malformed"]]
+    code, out, err = run(capsys, argv)
+    assert code == (0 if kind == "valid" else 2)
+    assert "Traceback" not in err
+    if code:
+        assert out == []
+        last = err.splitlines()[-1]
+        assert last.startswith("error:") or (
+            last.startswith("quivermod") and ": error:" in last
+        ), last

@@ -3,9 +3,9 @@ import math
 import pytest
 import quivermod.kronecker as kronecker_module
 from hypothesis import assume, given, settings, strategies as st
+from kronecker_oracle import normalize_kronecker as normalize_kronecker_with_seen
 
 from quivermod.kronecker import (
-    KroneckerInstance,
     expected_kronecker_exceptions,
     expected_loop_exceptions,
     grid_box,
@@ -24,26 +24,38 @@ def euler_self(m, d):
     return euler_form(kronecker_quiver(m), d, d)
 
 
+def in_window(m, d):
+    return 0 < d[0] <= d[1] and 2 * d[1] <= m * d[0]
+
+
 class TestInstance:
+    """The checks `kronecker_inequality_trace` makes on (m, d) itself."""
+
     def test_reduction(self):
-        inst = KroneckerInstance(3, (4, 6))
-        assert inst.n == 2
-        assert inst.pq == (2, 3)
+        t = kronecker_inequality_trace(3, (4, 6), (1, 0))
+        assert t.n == 2
+        assert (t.p, t.q) == (2, 3)
 
     def test_normalized_window(self):
-        assert KroneckerInstance(3, (2, 2)).is_normalized
-        assert KroneckerInstance(3, (2, 3)).is_normalized
-        assert not KroneckerInstance(3, (3, 2)).is_normalized
-        assert not KroneckerInstance(3, (1, 2)).is_normalized  # 2*2 > 3*1
-        assert not KroneckerInstance(4, (0, 1)).is_normalized
+        assert kronecker_inequality_trace(3, (2, 2), (1, 0)).d == (2, 2)
+        assert kronecker_inequality_trace(3, (2, 3), (1, 0)).d == (2, 3)
+        for m, d in [(3, (3, 2)), (3, (1, 2)), (4, (0, 1))]:  # 2*2 > 3*1 in (1, 2)
+            with pytest.raises(ValueError, match="not normalized"):
+                kronecker_inequality_trace(m, d, (1, 0))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            KroneckerInstance(0, (1, 1))
-        with pytest.raises(ValueError):
-            KroneckerInstance(3, (0, 0))
-        with pytest.raises(ValueError):
-            KroneckerInstance(3, (1, -1))
+        # the former KroneckerInstance refused m < 1, negative entries and the
+        # zero vector, and the trace then required its window; the window check
+        # alone must refuse exactly the same (m, d), e.g. (0, (1, 1)),
+        # (3, (0, 0)) and (3, (1, -1))
+        for m in range(-1, 8):
+            for d in ((d1, d2) for d1 in range(-2, 8) for d2 in range(-2, 8)):
+                rejected = m < 1 or min(d) < 0 or d == (0, 0) or not in_window(m, d)
+                if rejected:
+                    with pytest.raises(ValueError, match="not normalized"):
+                        kronecker_inequality_trace(m, d, (1, 0))
+                else:
+                    assert kronecker_inequality_trace(m, d, (1, 0)).d == d
 
 
 class TestReflections:
@@ -110,9 +122,27 @@ class TestNormalization:
     def test_normalized_output_is_in_window(self, m, d1, d2):
         r = normalize_kronecker(m, (d1, d2))
         if not r.degenerate:
-            assert KroneckerInstance(m, r.normalized).is_normalized
+            assert in_window(m, r.normalized)
             assert euler_self(m, r.normalized) == euler_self(m, (d1, d2))
             assert math.gcd(*r.normalized) == math.gcd(d1, d2)
+
+    @given(st.integers(3, 40), st.integers(0, 10**4), st.integers(0, 10**4))
+    @settings(max_examples=500)
+    def test_agrees_with_the_visited_state_oracle(self, m, d1, d2):
+        assert normalize_kronecker(m, (d1, d2)) == normalize_kronecker_with_seen(m, (d1, d2))
+
+    def test_empty_moduli_normalize_to_degenerate(self):
+        # the scan has no emptiness skip: a cell whose coprime part (p, q) has
+        # m p q - p^2 - q^2 < 0 has a positive Tits form, which the window excludes
+        skipped = 0
+        for m in range(3, 13):
+            for cell in grid_box(60, 60):
+                n = math.gcd(*cell)
+                p, q = cell[0] // n, cell[1] // n
+                if m * p * q - p * p - q * q < 0:
+                    skipped += 1
+                    assert normalize_kronecker(m, cell).degenerate, (m, cell)
+        assert skipped > 0
 
 
 class TestScans:
