@@ -69,11 +69,15 @@ def _ints(text: str) -> tuple[int, ...]:
         raise ValueError(f"expected comma-separated integers, got {text!r}")
 
 
-def _fracs(text: str) -> tuple[Fraction, ...]:
+def _rational(token: str) -> Fraction:
     try:
-        return tuple(Fraction(part) for part in text.split(","))
+        return Fraction(token)
     except (ValueError, ZeroDivisionError):
-        raise ValueError(f"expected comma-separated rationals, got {text!r}")
+        raise ValueError(f"expected a rational, got {token!r}") from None
+
+
+def _fracs(text: str) -> tuple[Fraction, ...]:
+    return tuple(_rational(part) for part in text.split(","))
 
 
 def _mat2_arg(text: str, name: str) -> list[list[Fraction]]:
@@ -235,7 +239,7 @@ def _cmd_clifford(args) -> int:
 
 
 def _cmd_hilbert(args) -> int:
-    u, v = Fraction(args.u), Fraction(args.v)
+    u, v = _rational(args.u), _rational(args.v)
     for ev in symbol_profile(u, v):
         _row("place", ev.place, ev.value)
     _row("split", quaternion_is_split(QuaternionAlgebra(u, v)))
@@ -243,7 +247,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_conic(args) -> int:
-    c = [Fraction(x) for x in (args.xx, args.yy, args.zz, args.xy, args.xz, args.yz)]
+    c = [_rational(x) for x in (args.xx, args.yy, args.zz, args.xy, args.xz, args.yz)]
     conic = ConicFiber(xx=c[0], yy=c[1], zz=c[2], xy=c[3], xz=c[4], yz=c[5])
     result = conic_has_rational_point(conic)
     _row("solvable", result.solvable)

@@ -27,6 +27,11 @@ class Quiver:
             raise ValueError(f"arrow matrix must be {k}x{k}")
         if any(m < 0 for row in self.arrows for m in row):
             raise ValueError("arrow multiplicities must be nonnegative")
+        # the nonzero arrows as (i, j, mult), listed once for _euler and to_text; not a
+        # field, so equality, hashing and repr see only the matrix
+        object.__setattr__(self, "_arrow_list", tuple(
+            (i, j, m) for i, row in enumerate(self.arrows) for j, m in enumerate(row) if m
+        ))
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence[int]]) -> "Quiver":
@@ -34,10 +39,7 @@ class Quiver:
 
     def to_text(self) -> str:
         lines = [f"vertices {self.vertex_count}"]
-        for i, row in enumerate(self.arrows):
-            for j, m in enumerate(row):
-                if m:
-                    lines.append(f"arrow {i} {j} {m}")
+        lines += (f"arrow {i} {j} {m}" for i, j, m in self._arrow_list)
         return "\n".join(lines) + "\n"
 
 
@@ -127,10 +129,8 @@ def euler_form(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
 def _euler(q: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:
     """euler_form on vectors already checked against q; for loops over many pairs."""
     total = sum(di * ei for di, ei in zip(d, e))
-    for i, row in enumerate(q.arrows):
-        for j, mult in enumerate(row):
-            if mult:
-                total -= mult * d[i] * e[j]
+    for i, j, mult in q._arrow_list:
+        total -= mult * d[i] * e[j]
     return total
 
 

@@ -5,6 +5,16 @@ Conventions. A decomposition of d is an ordered pair (e, f) of nonzero dimension
 vectors with e + f = d. The sufficient criterion demands <e,f> <= -2 for every
 decomposition with slope(e) >= slope(f); passing it means the non-stable locus
 has codimension at least 2 in the representation space.
+
+Split walks. Every slope condition tested here is linear in e. For e + f = d,
+theta(e)|f| - theta(f)|e| = w.e with w_i = theta_i |d| - theta(d), so
+slope(e) >= slope(f) iff w.e >= 0; and slope(e) < slope(p) for an earlier
+part p iff b.e > 0 with b_i = theta(p) - theta_i |p|. Once the first k - 1
+entries of e are fixed, each condition c.e >= t bounds the last entry x on
+one side (or keeps all x or none when c_last = 0), so the kept x form one
+integer interval, found by exact floor and ceiling division. The criterion,
+the wall and the HN recursion walk only those intervals instead of filtering
+all prod(d_i + 1) - 2 decompositions.
 """
 from __future__ import annotations
 
@@ -66,13 +76,35 @@ def _check_args(q: Quiver, theta: Sequence[int], d: Sequence[int]) -> tuple[DimV
     return theta, d
 
 
-def _slope_splits(theta: DimVec, d: DimVec) -> Iterator[tuple[DimVec, DimVec, int]]:
-    """Yield (e, f, s) for each decomposition of d, where s has the sign of
-    slope(e) - slope(f): theta(e)|f| - theta(f)|e|, exact in integers."""
+def _slope_splits(d: DimVec, rows: Sequence[tuple[DimVec, int]]) -> Iterator[tuple[DimVec, DimVec]]:
+    """Yield (e, d - e) for each proper decomposition of d with c.e >= t for
+    every row (c, t), in the order of enumerate_decompositions. For each
+    prefix u = e[:-1], the rows bound the last entry x by c_last * x >= t - c.u,
+    so only the interval [lo, hi] of kept x is visited.
+    """
+    *head, last = d
+    head = tuple(head)
+    for u in product(*(range(x + 1) for x in head)):
+        lo = 1 if not any(u) else 0
+        hi = last - 1 if u == head else last
+        for c, t in rows:
+            c_last, r = c[-1], t - sum(ci * ui for ci, ui in zip(c, u))
+            if c_last > 0:
+                lo = max(lo, -(-r // c_last))
+            elif c_last < 0:
+                hi = min(hi, r // c_last)
+            elif r > 0:
+                hi = -1
+        for x in range(lo, hi + 1):
+            e = u + (x,)
+            yield e, tuple(a - b for a, b in zip(d, e))
+
+
+def _slope_weights(theta: DimVec, d: DimVec) -> DimVec:
+    """w with w.e = theta(e)|f| - theta(f)|e| for e + f = d: w.e has the sign of
+    slope(e) - slope(f)."""
     theta_d, size_d = sum(t * x for t, x in zip(theta, d)), sum(d)
-    for e, f in enumerate_decompositions(d):
-        theta_e, size_e = sum(t * x for t, x in zip(theta, e)), sum(e)
-        yield e, f, theta_e * (size_d - size_e) - (theta_d - theta_e) * size_e
+    return tuple(t * size_d - theta_d for t in theta)
 
 
 def check_ample_stability_criterion(
@@ -81,9 +113,7 @@ def check_ample_stability_criterion(
     theta, d = _check_args(q, theta, d)
     witness = None
     max_pairing: Optional[int] = None
-    for e, f, sign in _slope_splits(theta, d):
-        if sign < 0:
-            continue
+    for e, f in _slope_splits(d, [(_slope_weights(theta, d), 0)]):
         pairing = _euler(q, e, f)
         if max_pairing is None or pairing > max_pairing:
             max_pairing = pairing
@@ -129,13 +159,17 @@ def hn_types(
 
     def extend(prefix: tuple[DimVec, ...], remaining: DimVec, prev: tuple[int, int]) -> None:
         # prev is (theta, size) of the last part, (1, 0) for slope +infinity. A proper
-        # part e needs sign > 0: the rest is a sum of parts with smaller slopes, so
-        # its slope, a mediant of theirs, is below slope(e). The whole of remaining
-        # comes last, as in product order, and closes the type (f is None).
-        splits = _slope_splits(theta, remaining) if len(prefix) + 1 < max_parts else ()
-        for e, f, sign in chain(splits, [(remaining, None, 1)]):
+        # part e needs slope(e) > slope(remaining - e): the rest is a sum of parts with
+        # smaller slopes, so its slope, a mediant of theirs, is below slope(e). Both
+        # that and slope(e) < slope(prev) are linear in e, b.e > 0 with
+        # b_i = theta_prev - theta_i |prev|. The whole of remaining comes last, as in
+        # product order, and closes the type (f is None).
+        below_prev = tuple(prev[0] - t * prev[1] for t in theta)
+        rows = [(_slope_weights(theta, remaining), 1), (below_prev, 1)]
+        splits = _slope_splits(remaining, rows) if len(prefix) + 1 < max_parts else ()
+        for e, f in chain(splits, [(remaining, None)]):
             theta_e, size_e = sum(t * x for t, x in zip(theta, e)), sum(e)
-            if sign <= 0 or theta_e * prev[1] >= prev[0] * size_e:
+            if f is None and theta_e * prev[1] >= prev[0] * size_e:
                 continue
             if sst_filter is not None and not sst_filter(e):
                 continue
@@ -149,13 +183,14 @@ def hn_types(
 
 
 def hn_codimension(q: Quiver, t: HNType) -> int:
-    """Codimension of the stratum with type t: -sum over ordered pairs k < l of <d^k, d^l>."""
+    """Codimension of the stratum with type t: -sum over ordered pairs k < l of <d^k, d^l>,
+    summed as -sum over l of <d^1 + ... + d^(l-1), d^l>."""
     parts = [_check_dim(q, part) for part in t.parts]
-    return -sum(
-        _euler(q, parts[k], parts[l])
-        for k in range(len(parts))
-        for l in range(k + 1, len(parts))
-    )
+    total, before = 0, parts[0] if parts else ()
+    for part in parts[1:]:
+        total -= _euler(q, before, part)
+        before = tuple(a + b for a, b in zip(before, part))
+    return total
 
 
 def strictly_semistable_wall_codim(
@@ -163,10 +198,9 @@ def strictly_semistable_wall_codim(
 ) -> Optional[int]:
     """min of -<e,f> over proper decompositions with equal slopes, None if no such split."""
     theta, d = _check_args(q, theta, d)
+    w = _slope_weights(theta, d)
     best: Optional[int] = None
-    for e, f, sign in _slope_splits(theta, d):
-        if sign:
-            continue
+    for e, f in _slope_splits(d, [(w, 0), (tuple(-x for x in w), 0)]):
         codim = -_euler(q, e, f)
         if best is None or codim < best:
             best = codim

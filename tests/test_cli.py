@@ -518,3 +518,16 @@ def test_exit_code_contract(capsys, command, kind):
         assert last.startswith("error:") or (
             last.startswith("quivermod") and ": error:" in last
         ), last
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["hilbert", "1", "1/0"], "1/0"),
+    (["hilbert", "abc", "1"], "abc"),
+    (["conic", "--", "1/0", "1", "1", "0", "0", "0"], "1/0"),
+    (["conic", "--", "1", "1", "1", "0", "0", "2/x"], "2/x"),
+    (["clifford", "--b", "0,1,0,1,0,0,0,0,1/0"], "1/0"),
+])
+def test_bad_rational_names_the_token(capsys, argv, token):
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == []
+    assert err == f"error: expected a rational, got {token!r}\n"

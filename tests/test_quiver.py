@@ -229,3 +229,30 @@ class TestDimensions:
             framed_bundle_relative_dimension((2, 2), (0, 0))
         with pytest.raises(ValueError):
             framed_bundle_relative_dimension((2,), (1, 1))
+
+
+class TestArrowList:
+    @given(st.data())
+    def test_euler_form_matches_the_matrix_sum(self, data):
+        q = data.draw(small_quivers())
+        d = data.draw(dim_vectors(q))
+        e = data.draw(dim_vectors(q))
+        k = q.vertex_count
+        expected = sum(d[i] * e[i] for i in range(k)) - sum(
+            q.arrows[i][j] * d[i] * e[j] for i in range(k) for j in range(k)
+        )
+        assert euler_form(q, d, e) == expected
+
+    def test_is_not_a_field(self):
+        import dataclasses
+        import pickle
+
+        q = Quiver.from_matrix([[0, 3], [1, 0]])
+        assert q._arrow_list == ((0, 1, 3), (1, 0, 1))
+        assert [f.name for f in dataclasses.fields(q)] == ["vertex_count", "arrows"]
+        assert repr(q) == "Quiver(vertex_count=2, arrows=((0, 3), (1, 0)))"
+        assert q == Quiver(2, ((0, 3), (1, 0)))
+        assert hash(q) == hash(Quiver(2, ((0, 3), (1, 0))))
+        assert q.to_text() == "vertices 2\narrow 0 1 3\narrow 1 0 1\n"
+        copy = pickle.loads(pickle.dumps(q))
+        assert copy == q and copy._arrow_list == q._arrow_list
