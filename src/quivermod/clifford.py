@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import _echelon_mod_p, clear_denominators, is_prime, rank
+from .linalg import _diagonalize_ints, _echelon_mod_p, clear_denominators, is_prime, rank
 from .models import ConicFiber
 
 # Prime characteristics must lie below this bound: the modular Azumaya test
@@ -114,63 +114,24 @@ class QuadraticFormB:
     def diagonalize(self) -> tuple[list, list[list]]:
         """Exact congruence diagonalization, characteristic != 2 only.
 
-        Returns (coeffs, P) with Q(P w) = sum coeffs_i w_i^2. Pivoting is
-        deterministic: the first nonzero diagonal Gram entry is used; if the
-        remaining diagonal vanishes, the first nonzero off-diagonal pair is
-        merged into a square first.
+        Returns (coeffs, P) with Q(P w) = sum coeffs_i w_i^2. The Gram matrix
+        (times the lcm L of its denominators over Q) is diagonalised on
+        integers by _diagonalize_ints, which gives the pivoting; field elements
+        are formed at the end: P = V / s and coeffs = pivots / (2 L s^2).
         """
         if self.char == 2:
             raise ValueError("diagonalization needs characteristic != 2")
-        size, p = self.size, self.char
-        g = [list(row) for row in self.gram()]
-        one, zero = self.one(), self.zero()
-        mat = [[one if i == j else zero for j in range(size)] for i in range(size)]
-
-        def red(x):
-            return x % p if p else x
-
-        def div(x, y):
-            return red(x * pow(y, -1, p)) if p else x / y
-
-        def col_op(dst: int, src: int, factor):
-            # basis change v_dst <- v_dst + factor * v_src, applied symmetrically
-            for m in (g, mat):
-                for row in m:
-                    row[dst] = red(row[dst] + factor * row[src])
-            g[dst] = [red(x + factor * y) for x, y in zip(g[dst], g[src])]
-
-        def swap(i: int, j: int):
-            for m in (g, mat):
-                for row in m:
-                    row[i], row[j] = row[j], row[i]
-            g[i], g[j] = g[j], g[i]
-
-        for k in range(size):
-            if g[k][k] == 0:
-                pivot = next((i for i in range(k + 1, size) if g[i][i] != 0), None)
-                if pivot is not None:
-                    swap(k, pivot)
-                else:
-                    pair = next(
-                        (
-                            (i, j)
-                            for i in range(k, size)
-                            for j in range(i + 1, size)
-                            if g[i][j] != 0
-                        ),
-                        None,
-                    )
-                    if pair is None:
-                        break  # remaining block is zero
-                    i, j = pair
-                    col_op(i, j, one)  # v_i <- v_i + v_j makes g[i][i] = 2 g_ij != 0
-                    if i != k:
-                        swap(k, i)
-            piv = g[k][k]
-            for i in range(k + 1, size):
-                if g[k][i] != 0:
-                    col_op(i, k, div(-g[k][i], piv))
-        return [div(g[i][i], 2) for i in range(size)], mat
+        p, g = self.char, self.gram()
+        if p:
+            pivots, vs, s = _diagonalize_ints(g, p)
+            inv, half = [pow(x, -1, p) for x in s], pow(2, -1, p)
+            return ([h * x * x * half % p for h, x in zip(pivots, inv)],
+                    [[v * x % p for v, x in zip(row, inv)] for row in vs])
+        lcm = math.lcm(*(x.denominator for row in g for x in row))
+        pivots, vs, s = _diagonalize_ints([[x.numerator * (lcm // x.denominator) for x in row]
+                                           for row in g])
+        return ([Fraction(h, 2 * lcm * x * x) for h, x in zip(pivots, s)],
+                [[Fraction(v, x) for v, x in zip(row, s)] for row in vs])
 
 
 def standard_form(n: int, char: int = 0) -> QuadraticFormB:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .clifford import QuaternionAlgebra, form_from_conic
-from .linalg import factor, mat_vec, primitive_int_vector
+from .linalg import _diagonalize_ints, factor, mat_vec, primitive_int_vector
 from .models import ConicFiber, K3Point, L2Point, k3_conic, l2_conic
 
 REAL_PLACE = "real"
@@ -354,25 +354,33 @@ def _lattice_zero(
 def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
     """Decide solvability of the plane conic and produce a primitive witness.
 
-    The decision is local: diagonalize (a 0 on the diagonal is a degenerate
-    conic) and decide the rational diagonal by _locally_isotropic. When
-    solvable, the witness comes from the same reduced form by lattice
-    reduction (Cremona and Rusin, Math. Comp. 72, 2003; D. Simon, Math. Comp.
-    74, 2005): the lattice where the form vanishes mod abc is LLL-reduced, and
-    a zero is read off a basis vector or found in a search bounded by Cassels'
-    small-zero bound. The witness is verified exactly against the input conic;
-    a failure anywhere on this path raises RuntimeError or AssertionError,
-    since it would contradict the local decision.
+    The decision is local: diagonalise the Gram matrix on integers
+    (_diagonalize_ints; a 0 pivot is a degenerate conic) and decide the
+    rational diagonal by _locally_isotropic. When solvable, the witness comes
+    from the same reduced form by lattice reduction (Cremona and Rusin, Math.
+    Comp. 72, 2003; D. Simon, Math. Comp. 74, 2005): the lattice where the
+    form vanishes mod abc is LLL-reduced, and a zero is read off a basis
+    vector or found in a search bounded by Cassels' small-zero bound. It is
+    mapped back and verified exactly on integers; a failure anywhere on this
+    path raises RuntimeError or AssertionError, since it would contradict the
+    local decision.
     """
-    coeffs, p_mat = form_from_conic(conic).diagonalize()
-    if 0 in coeffs:  # the Gram matrix is congruent to diag(2 coeffs)
+    coeffs = [Fraction(x) for x in conic.coefficients()]
+    lcm = math.lcm(*(x.denominator for x in coeffs))
+    xx, yy, zz, xy, xz, yz = [x.numerator * (lcm // x.denominator) for x in coeffs]
+    gram = [[2 * xx, xy, xz], [xy, 2 * yy, yz], [xz, yz, 2 * zz]]
+    pivots, vs, s = _diagonalize_ints(gram)
+    if 0 in pivots:  # the Gram matrix is congruent to diag(pivots / s^2)
         raise ValueError("conic is degenerate")
-    solvable, (a, b, c, m, primes) = _locally_isotropic(*coeffs)
+    diagonal = [Fraction(h, 2 * lcm * x * x) for h, x in zip(pivots, s)]
+    solvable, (a, b, c, m, primes) = _locally_isotropic(*diagonal)
     if not solvable:
         return ConicPointResult(False, None)
     found = _lattice_zero(a, b, c, primes)
-    witness = primitive_int_vector(mat_vec(p_mat, [mi * t for mi, t in zip(m, found)]))
-    if all(t == 0 for t in witness) or conic.evaluate(*witness) != 0:
+    scale = math.lcm(*s)  # the sign of s_k stays: column k of P is V_k / s_k
+    witness = primitive_int_vector(mat_vec(vs, [mi * t * (scale // x)
+                                                for mi, t, x in zip(m, found, s)]))
+    if not any(witness) or sum(w * x for w, x in zip(witness, mat_vec(gram, witness))):
         raise AssertionError("witness verification failed")
     return ConicPointResult(True, witness)
 

@@ -1,10 +1,13 @@
 """Exact linear algebra at small sizes, and the integer helpers the other
 modules share: bounded factoring, a primality test and clearing denominators.
 
-There are two eliminations, both on integers. Over Q, rank and nullspace
-clear each row's denominators and eliminate fraction-free (Bareiss, Math.
-Comp. 22, 1968). Over GF(p), _echelon_mod_p eliminates int64 residues with
-numpy. No floating point anywhere.
+There are three integer cores. Over Q, rank and nullspace clear each row's
+denominators and eliminate fraction-free (Bareiss, Math. Comp. 22, 1968).
+Over GF(p), _echelon_mod_p eliminates int64 residues with numpy. The
+congruence diagonalisation of quadratic forms, _diagonalize_ints, runs on an
+integer Gram matrix over Q or on residues over GF(p), scaling columns instead
+of dividing by pivots, so that QuadraticFormB.diagonalize and the conic solver
+form field elements only for their answers. No floating point anywhere.
 """
 from __future__ import annotations
 
@@ -102,8 +105,66 @@ def _echelon_mod_p(a, p: int) -> tuple[int, Optional[list[int]]]:
     return r, vec
 
 
+def _diagonalize_ints(g: Sequence[Sequence[int]], p: int = 0):
+    """Fraction-free congruence diagonalisation of a symmetric integer Gram
+    matrix G over Q, or of residues mod an odd prime p: (pivots, V, s) with
+    P = V diag(1/s) and P^T G P = diag(pivots / s^2). It pivots on the first
+    nonzero diagonal entry, else first merges the first nonzero pair (i, j),
+    v_i <- v_i + v_j. A step v_i <- v_i + f v_k is V_i <- a V_i + b V_k and
+    s_i <- a s_i with b / a = f s_i / s_k, so no field division is needed.
+    """
+    size = len(g)
+    h = [[x % p if p else x for x in row] for row in g]  # h_ij = s_i s_j (P^T G P)_ij
+    vs = [[int(i == j) for j in range(size)] for i in range(size)]
+    s = [1] * size
+
+    def red(x):
+        return x % p if p else x
+
+    def col_op(i: int, k: int, a: int, b: int):
+        for m in (h, vs):
+            for row in m:
+                row[i] = red(a * row[i] + b * row[k])
+        h[i] = [red(a * x + b * y) for x, y in zip(h[i], h[k])]
+        s[i] = red(a * s[i])
+        d = 1 if p else math.gcd(s[i], *(row[i] for row in vs))
+        if d > 1:  # V_i / s_i in lowest terms keeps the entries from compounding
+            for m in (h, vs):
+                for row in m:
+                    row[i] //= d
+            h[i], s[i] = [x // d for x in h[i]], s[i] // d
+
+    def swap(i: int, j: int):
+        for m in (h, vs):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+        h[i], h[j], s[i], s[j] = h[j], h[i], s[j], s[i]
+
+    for k in range(size):
+        if h[k][k] == 0:
+            pivot = next((i for i in range(k + 1, size) if h[i][i]), None)
+            if pivot is not None:
+                swap(k, pivot)
+            else:
+                pair = next(((i, j) for i in range(k, size) for j in range(i + 1, size)
+                             if h[i][j]), None)
+                if pair is None:
+                    break  # remaining block is zero
+                i, j = pair
+                col_op(i, j, s[j], s[i])  # v_i + v_j makes the diagonal 2 g_ij != 0
+                if i != k:
+                    swap(k, i)
+        for i in range(k + 1, size):
+            if h[k][i]:
+                col_op(i, k, h[k][k], -h[k][i])
+    return [h[k][k] for k in range(size)], vs, s
+
+
 def clear_denominators(vec: Sequence) -> list[int]:
-    """The vector times the lcm of its entries' denominators (int or Fraction)."""
+    """The vector times the lcm of its entries' denominators (int or Fraction),
+    as a new list; an all-int vector is copied without that pass."""
+    if set(map(type, vec)) == {int}:
+        return list(vec)
     scale = math.lcm(*(x.denominator for x in vec))
     return [x.numerator * (scale // x.denominator) for x in vec]
 

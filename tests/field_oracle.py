@@ -7,8 +7,10 @@ integers: Bareiss elimination over Q (`linalg.rank`, `linalg.nullspace`), int
 residues and `linalg._echelon_mod_p` over GF(p). `FieldForm` is the quadratic
 form code written once for every field. `common_root_by_euclid` is the former
 Euclid test for a common root of binary quadratic forms, which
-`models.binary_forms_common_root` replaced by a rank. Tests compare the integer
-code against these on small inputs.
+`models.binary_forms_common_root` replaced by a rank. `diagonalize_oracle` is
+the former body of `clifford.QuadraticFormB.diagonalize`, which eliminated on
+field scalars before `linalg._diagonalize_ints` took over; it is a test oracle
+only. Tests compare the integer code against these on small inputs.
 """
 from __future__ import annotations
 
@@ -275,3 +277,67 @@ def common_root_by_euclid(forms: Sequence[Sequence]) -> bool:
         if len(g) <= 1:
             return False
     return True
+
+
+def diagonalize_oracle(self) -> tuple[list, list[list]]:
+    """QuadraticFormB.diagonalize as it was on field scalars (test oracle only).
+
+    Exact congruence diagonalization, characteristic != 2 only.
+
+    Returns (coeffs, P) with Q(P w) = sum coeffs_i w_i^2. Pivoting is
+    deterministic: the first nonzero diagonal Gram entry is used; if the
+    remaining diagonal vanishes, the first nonzero off-diagonal pair is
+    merged into a square first.
+    """
+    if self.char == 2:
+        raise ValueError("diagonalization needs characteristic != 2")
+    size, p = self.size, self.char
+    g = [list(row) for row in self.gram()]
+    one, zero = self.one(), self.zero()
+    mat = [[one if i == j else zero for j in range(size)] for i in range(size)]
+
+    def red(x):
+        return x % p if p else x
+
+    def div(x, y):
+        return red(x * pow(y, -1, p)) if p else x / y
+
+    def col_op(dst: int, src: int, factor):
+        # basis change v_dst <- v_dst + factor * v_src, applied symmetrically
+        for m in (g, mat):
+            for row in m:
+                row[dst] = red(row[dst] + factor * row[src])
+        g[dst] = [red(x + factor * y) for x, y in zip(g[dst], g[src])]
+
+    def swap(i: int, j: int):
+        for m in (g, mat):
+            for row in m:
+                row[i], row[j] = row[j], row[i]
+        g[i], g[j] = g[j], g[i]
+
+    for k in range(size):
+        if g[k][k] == 0:
+            pivot = next((i for i in range(k + 1, size) if g[i][i] != 0), None)
+            if pivot is not None:
+                swap(k, pivot)
+            else:
+                pair = next(
+                    (
+                        (i, j)
+                        for i in range(k, size)
+                        for j in range(i + 1, size)
+                        if g[i][j] != 0
+                    ),
+                    None,
+                )
+                if pair is None:
+                    break  # remaining block is zero
+                i, j = pair
+                col_op(i, j, one)  # v_i <- v_i + v_j makes g[i][i] = 2 g_ij != 0
+                if i != k:
+                    swap(k, i)
+        piv = g[k][k]
+        for i in range(k + 1, size):
+            if g[k][i] != 0:
+                col_op(i, k, div(-g[k][i], piv))
+    return [div(g[i][i], 2) for i in range(size)], mat

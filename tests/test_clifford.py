@@ -186,6 +186,36 @@ class TestDiagonalize:
         assert len(nonzero) == 3
         assert sum(1 for c in nonzero if c < 0) == 1  # hyperbolic plane splits
 
+    @given(st.integers(1, 6), st.sampled_from([0, 3, 5, 7, 65537, 2 ** 31 - 1]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_oracle(self, size, p, data):
+        # about a third of the entries are 0 and some diagonals are forced to 0,
+        # so that swaps, merges and zero blocks all occur
+        entry = st.one_of(st.just(Fraction(0)), st.builds(
+            Fraction, st.integers(-10 ** 4, 10 ** 4), st.sampled_from([1, 2, 4, 10, 97, 1000])))
+        count = size * (size + 1) // 2
+        upper = iter(data.draw(st.lists(entry, min_size=count, max_size=count)))
+        zeros = data.draw(st.sets(st.integers(0, size - 1)))
+        b = [[Fraction(0)] * size for _ in range(size)]
+        for i in range(size):
+            for j in range(i, size):
+                b[i][j] = b[j][i] = Fraction(0) if i == j and i in zeros else next(upper)
+        if p and any(x.denominator % p == 0 for row in b for x in row):
+            b = [[x.numerator for x in row] for row in b]
+        q = QuadraticFormB(b, char=p)
+        coeffs, mat = q.diagonalize()
+        expected_coeffs, expected_mat = field_oracle.diagonalize_oracle(q)
+        assert (coeffs, [list(row) for row in mat]) == (expected_coeffs, expected_mat)
+        kind = int if p else Fraction
+        assert all(type(x) is kind for x in coeffs + [x for row in mat for x in row])
+
+    @pytest.mark.parametrize("b", [[[0, 1], [1, 0]], [[1, 0], [0, 1]], [[0]]])
+    def test_char2_raises_like_the_oracle(self, b):
+        q = QuadraticFormB(b, char=2)
+        for diagonalize in (QuadraticFormB.diagonalize, field_oracle.diagonalize_oracle):
+            with pytest.raises(ValueError, match="characteristic != 2"):
+                diagonalize(q)
+
 
 class TestCliffordAlgebra:
     def test_dimensions(self):

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from conic_oracle import holzer_search, squarefree_decompose
+from conic_oracle import conic_has_rational_point_oracle, holzer_search, squarefree_decompose
 from hypothesis import assume, given, settings, strategies as st
 from sympy import factorint, multiplicity
 from sympy.ntheory import is_quad_residue
@@ -19,6 +19,7 @@ from quivermod.clifford import (
 )
 from quivermod.hilbert import (
     REAL_PLACE,
+    ConicPointResult,
     _lattice_zero,
     _legendre_reduce,
     _lll,
@@ -521,6 +522,59 @@ class TestLatticeSolver:
         if legendre:
             x, y, z = result.witness
             assert a * x * x + b * y * y + c * z * z == 0 and any(result.witness)
+
+
+# a quarter of the coefficients 0; numerators up to 10^4, spread over their
+# number of digits; denominators from a few small and composite values
+corpus_coefficient = st.builds(
+    lambda zero, n, d: Fraction(0) if zero else Fraction(n, d),
+    st.sampled_from((True, False, False, False)),
+    st.integers(0, 4).flatmap(lambda k: st.integers(-10 ** k, 10 ** k)),
+    st.sampled_from((1, 2, 3, 4, 7, 10, 97, 1000)),
+)
+
+
+def outcome(solve, conic):
+    try:
+        return solve(conic)
+    except (ValueError, AssertionError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestConicAgainstFractionOracle:
+    """The integer diagonalisation against the former Fraction path."""
+
+    @given(st.tuples(*[corpus_coefficient] * 6))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_oracle(self, coeffs):
+        conic = ConicFiber(*coeffs)
+        assert outcome(conic_has_rational_point, conic) == outcome(
+            conic_has_rational_point_oracle, conic)
+
+    @pytest.mark.parametrize("coeffs, expected", [
+        # column scales of both signs: the witness keeps each s_k's sign
+        ("-5/2 0 0 -1312 -1205 33", ConicPointResult(True, (0, 1, 0))),
+        # a zero diagonal, merged before the elimination
+        ("0 1 0 0 1 0", ConicPointResult(True, (1, -1, -1))),
+        ("-25 -47/9 -17/9 -27/4 46/9 -20/3", ConicPointResult(True, (1259, -1680, 3915))),
+        ("29/6 52/3 29/3 27 47/4 -43/4", ConicPointResult(True, (1316418, -366667, 113440))),
+        ("9973 9511 -6737 0 0 0", ConicPointResult(True, (1699, 170, 2077))),
+        ("1 1 3 0 0 0", ConicPointResult(False, None)),
+        ("1 2 1 2 2 2", (ValueError, "conic is degenerate")),
+        ("2/5 104 141/4 -2/97 -146 -23/1000",
+         (ValueError, "capacity: factoring 52008211850107361 needs trial divisors beyond 2^22")),
+    ])
+    def test_frozen_cases(self, coeffs, expected):
+        conic = ConicFiber(*map(Fraction, coeffs.split()))
+        assert outcome(conic_has_rational_point, conic) == expected
+        assert outcome(conic_has_rational_point_oracle, conic) == expected
+
+    @given(st.tuples(*[st.integers(-2000, 2000)] * 6))
+    @settings(max_examples=100, deadline=None)
+    def test_int_and_float_coefficients(self, nums):
+        for coeffs in (nums, [n / 4 for n in nums]):  # quarters are exact as floats
+            expected = outcome(conic_has_rational_point, ConicFiber(*map(Fraction, coeffs)))
+            assert outcome(conic_has_rational_point, ConicFiber(*coeffs)) == expected
 
 
 class TestModelPointInvariant:

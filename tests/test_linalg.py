@@ -11,6 +11,7 @@ from quivermod.cli import main
 from quivermod.linalg import (
     FACTOR_BOUND,
     PRIME_BOUND,
+    _diagonalize_ints,
     clear_denominators,
     factor,
     is_prime,
@@ -90,6 +91,24 @@ class TestBareissAgainstFractionOracle:
         assert all(isinstance(x, GFElement) for vec in kernel for x in vec)
 
 
+class TestDiagonalizeInts:
+    @given(st.integers(1, 5), st.sampled_from([0, 3, 7]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_columns_diagonalise_the_gram_matrix(self, size, p, data):
+        entry = st.sampled_from([0, 0, 1, -1, 2, -3, 10, 97])
+        upper = data.draw(st.lists(entry, min_size=size * size, max_size=size * size))
+        g = [[upper[min(i, j) * size + max(i, j)] for j in range(size)] for i in range(size)]
+        pivots, vs, s = _diagonalize_ints(g, p)
+        # V^T G V = diag(pivots), and V is invertible with nonzero scales
+        vtgv = [[sum(vs[a][i] * g[a][b] * vs[b][j] for a in range(size) for b in range(size))
+                 for j in range(size)] for i in range(size)]
+        red = (lambda x: x % p) if p else (lambda x: x)
+        assert [[red(x) for x in row] for row in vtgv] == [
+            [pivots[i] if i == j else 0 for j in range(size)] for i in range(size)]
+        assert all(red(x) for x in s)
+        assert rank([[red(x) for x in row] for row in vs]) == size
+
+
 class TestFactor:
     @given(st.integers(1, 10**12), st.sampled_from((1, -1)))
     @settings(max_examples=60, deadline=None)
@@ -167,6 +186,24 @@ class TestClearDenominators:
 
     def test_mixed_entries(self):
         assert clear_denominators([Fraction(1, 2), 3, Fraction(-5, 6)]) == [3, 18, -5]
+
+    @given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=6))
+    def test_integers_come_back_as_a_new_list(self, vec):
+        out = clear_denominators(vec)
+        assert out == vec and out is not vec
+        assert all(type(x) is int for x in out)
+        rows = [list(vec), [x + 1 for x in vec]]
+        copy = [list(row) for row in rows]
+        rank(rows)  # the elimination works on its own rows
+        assert rows == copy
+
+    @given(st.lists(st.one_of(st.integers(-1000, 1000), rationals, st.booleans()),
+                    min_size=1, max_size=6))
+    def test_other_input_is_scaled_by_the_lcm(self, vec):
+        scale = math.lcm(*(Fraction(x).denominator for x in vec))
+        out = clear_denominators(vec)
+        assert out == [int(x * scale) for x in vec]
+        assert all(type(x) is int for x in out)
 
 
 class TestFactorBoundOnTheCommandLine:
