@@ -48,8 +48,6 @@ from .models import (
     K3Point,
     L2Point,
     burnside_dimension,
-    fit_conic,
-    fit_conic_through_semiinvariants,
     k3_conic,
     k3_destabilizer,
     k3_invariants,

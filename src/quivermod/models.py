@@ -23,8 +23,9 @@ x = det(Av|Bv), y = det(Av|Cv), z = det(Bv|Cv), and the conic they satisfy is
 i.e. the coefficient pattern (f, -e, c, d, -b, a) on (x^2, xy, xz, y^2, yz, z^2).
 This follows from the rank-2 Cramer identity z Av - y Bv + x Cv = 0, which puts
 (z : -y : x) in the kernel of alpha A + beta B + gamma C; note the xz and y^2
-coefficients are c and d in this order, not d and c. The fit_conic oracle below
-recovers the same pattern from sampled semiinvariant points.
+coefficients are c and d in this order, not d and c. The fit_conic test oracle
+(tests/models_oracle.py) recovers the same pattern from sampled semiinvariant
+points.
 
 Arithmetic is on integers: _scaled puts the inputs over one common denominator
 s, and each coordinate, a homogeneous polynomial in the integer numerators, is
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import det3, mat_vec, nullspace, rank
+from .linalg import det3, mat_vec, rank
 
 Mat2 = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
 Vec2 = tuple[Fraction, Fraction]
@@ -331,33 +332,3 @@ def k3_destabilizer(
         return (1, 1)
     return None
 
-
-def fit_conic(points: Sequence[tuple[Fraction, Fraction, Fraction]]) -> Optional[ConicFiber]:
-    """Unique conic through the given points, or None if not unique up to scale.
-
-    Rows are the monomials (x^2, y^2, z^2, xy, xz, yz); the conic exists and is
-    unique exactly when the kernel of the sample matrix is one-dimensional. The
-    result is scaled to integer coefficients with positive leading entry.
-    """
-    rows = []
-    for x, y, z in points:
-        x, y, z = Fraction(x), Fraction(y), Fraction(z)
-        rows.append([x * x, y * y, z * z, x * y, x * z, y * z])
-    kernel = nullspace(rows)
-    if len(kernel) != 1:
-        return None
-    coeffs = [Fraction(c) for c in kernel[0]]
-    return ConicFiber(xx=coeffs[0], yy=coeffs[1], zz=coeffs[2], xy=coeffs[3], xz=coeffs[4], yz=coeffs[5])
-
-
-def fit_conic_through_semiinvariants(
-    a_mat: Sequence[Sequence],
-    b_mat: Sequence[Sequence],
-    c_mat: Sequence[Sequence],
-    samples: Optional[Sequence[Sequence]] = None,
-) -> Optional[ConicFiber]:
-    """Fit the conic through semiinvariant images of sample framing vectors."""
-    if samples is None:
-        samples = [(1, 0), (0, 1), (1, 1), (1, -1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 3)]
-    pts = [k3_semiinvariants(a_mat, b_mat, c_mat, v) for v in samples]
-    return fit_conic(pts)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 
@@ -113,10 +114,10 @@ def load_quiver(spec: str) -> Quiver:
 
 
 def _check_dim(q: Quiver, d: Sequence[int], name: str = "d") -> tuple[int, ...]:
-    d = tuple(int(x) for x in d)
+    d = tuple(map(int, d))
     if len(d) != q.vertex_count:
         raise ValueError(f"{name} has {len(d)} entries, quiver has {q.vertex_count} vertices")
-    if any(x < 0 for x in d):
+    if min(d) < 0:
         raise ValueError(f"{name} entries must be nonnegative")
     return d
 
@@ -128,7 +129,7 @@ def euler_form(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
 
 def _euler(q: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:
     """euler_form on vectors already checked against q; for loops over many pairs."""
-    total = sum(di * ei for di, ei in zip(d, e))
+    total = sum(map(mul, d, e))
     for i, j, mult in q._arrow_list:
         total -= mult * d[i] * e[j]
     return total

@@ -15,11 +15,22 @@ one side (or keeps all x or none when c_last = 0), so the kept x form one
 integer interval, found by exact floor and ceiling division. The criterion,
 the wall and the HN recursion walk only those intervals instead of filtering
 all prod(d_i + 1) - 2 decompositions.
+
+HN memo. The parts that finish an HN type depend only on what remains to be
+split, on the previous part's slope and on how many parts may still follow.
+The test slope(e) < slope(p) against the previous part p is unchanged when
+(theta(p), |p|) is scaled by a positive integer, so hn_types keys each state by
+remaining, (theta(p), |p|) reduced by its gcd ((1, 0) for slope +infinity) and
+min(parts left, sum(remaining)), and builds each state's suffixes once per
+call. Hence a supplied sst_filter is called once per state and part, and must
+be a pure function of the part.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
+from math import gcd
+from operator import add, mul, sub
 from typing import Callable, Iterator, Optional, Sequence
 
 from .quiver import (
@@ -68,9 +79,9 @@ class AmpleStabilityReport:
 def _check_args(q: Quiver, theta: Sequence[int], d: Sequence[int]) -> tuple[DimVec, DimVec]:
     """theta and d as int tuples with one entry per vertex of q; d nonnegative, nonzero."""
     d = _check_dim(q, d)
-    if all(x == 0 for x in d):
+    if not any(d):
         raise ValueError("dimension vector must be nonzero")
-    theta = tuple(int(x) for x in theta)
+    theta = tuple(map(int, theta))
     if len(theta) != q.vertex_count:
         raise ValueError(f"theta has {len(theta)} entries, quiver has {q.vertex_count} vertices")
     return theta, d
@@ -88,7 +99,7 @@ def _slope_splits(d: DimVec, rows: Sequence[tuple[DimVec, int]]) -> Iterator[tup
         lo = 1 if not any(u) else 0
         hi = last - 1 if u == head else last
         for c, t in rows:
-            c_last, r = c[-1], t - sum(ci * ui for ci, ui in zip(c, u))
+            c_last, r = c[-1], t - sum(map(mul, c, u))
             if c_last > 0:
                 lo = max(lo, -(-r // c_last))
             elif c_last < 0:
@@ -97,13 +108,13 @@ def _slope_splits(d: DimVec, rows: Sequence[tuple[DimVec, int]]) -> Iterator[tup
                 hi = -1
         for x in range(lo, hi + 1):
             e = u + (x,)
-            yield e, tuple(a - b for a, b in zip(d, e))
+            yield e, tuple(map(sub, d, e))
 
 
 def _slope_weights(theta: DimVec, d: DimVec) -> DimVec:
     """w with w.e = theta(e)|f| - theta(f)|e| for e + f = d: w.e has the sign of
     slope(e) - slope(f)."""
-    theta_d, size_d = sum(t * x for t, x in zip(theta, d)), sum(d)
+    theta_d, size_d = sum(map(mul, theta, d)), sum(d)
     return tuple(t * size_d - theta_d for t in theta)
 
 
@@ -148,38 +159,49 @@ def hn_types(
     Without a filter this is a superset of the types realized by actual
     filtrations, since no existence test for semistables of each slope is
     applied. A supplied sst_filter must be sound: it may only accept vectors
-    whose semistable locus is nonempty.
+    whose semistable locus is nonempty, and a pure function of the part: the
+    suffixes of each state (remaining, prev reduced by its gcd, min(parts left,
+    sum(remaining))) are built once per call, so sst_filter is called once per
+    state and part.
     """
     theta, d = _check_args(q, theta, d)
     if max_parts is None:
         max_parts = sum(d)
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
-    out: list[HNType] = []
+    memo: dict[tuple[DimVec, tuple[int, int], int], list[tuple[DimVec, ...]]] = {}
 
-    def extend(prefix: tuple[DimVec, ...], remaining: DimVec, prev: tuple[int, int]) -> None:
-        # prev is (theta, size) of the last part, (1, 0) for slope +infinity. A proper
-        # part e needs slope(e) > slope(remaining - e): the rest is a sum of parts with
-        # smaller slopes, so its slope, a mediant of theirs, is below slope(e). Both
-        # that and slope(e) < slope(prev) are linear in e, b.e > 0 with
+    def suffixes(remaining: DimVec, prev: tuple[int, int], parts_left: int) -> list[tuple[DimVec, ...]]:
+        # prev is (theta, size) of the last part reduced by its gcd, (1, 0) for slope
+        # +infinity, and parts_left is capped at sum(remaining). A proper part e needs
+        # slope(e) > slope(remaining - e): the rest is a sum of parts with smaller
+        # slopes, so its slope, a mediant of theirs, is below slope(e). Both that and
+        # slope(e) < slope(prev) are linear in e, b.e > 0 with
         # b_i = theta_prev - theta_i |prev|. The whole of remaining comes last, as in
-        # product order, and closes the type (f is None).
-        below_prev = tuple(prev[0] - t * prev[1] for t in theta)
-        rows = [(_slope_weights(theta, remaining), 1), (below_prev, 1)]
-        splits = _slope_splits(remaining, rows) if len(prefix) + 1 < max_parts else ()
-        for e, f in chain(splits, [(remaining, None)]):
-            theta_e, size_e = sum(t * x for t, x in zip(theta, e)), sum(e)
-            if f is None and theta_e * prev[1] >= prev[0] * size_e:
-                continue
-            if sst_filter is not None and not sst_filter(e):
-                continue
-            if f is None:
-                out.append(HNType(prefix + (e,)))
-            else:
-                extend(prefix + (e,), f, (theta_e, size_e))
+        # product order, and closes the type; it needs no slope test, since the split
+        # that left it put it below prev. A type is its first part and a tail.
+        key = (remaining, prev, parts_left)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        out = []
+        if parts_left > 1:
+            size_r = sum(remaining)
+            below_prev = tuple(prev[0] - t * prev[1] for t in theta)
+            rows = [(_slope_weights(theta, remaining), 1), (below_prev, 1)]
+            for e, f in _slope_splits(remaining, rows):
+                if sst_filter is not None and not sst_filter(e):
+                    continue
+                theta_e, size_e = sum(map(mul, theta, e)), sum(e)
+                g = gcd(theta_e, size_e)
+                tails = suffixes(f, (theta_e // g, size_e // g), min(parts_left - 1, size_r - size_e))
+                out += [(e,) + tail for tail in tails]
+        if sst_filter is None or sst_filter(remaining):
+            out.append((remaining,))
+        memo[key] = out
+        return out
 
-    extend((), d, (1, 0))
-    return out
+    return [HNType(parts) for parts in suffixes(d, (1, 0), min(max_parts, sum(d)))]
 
 
 def hn_codimension(q: Quiver, t: HNType) -> int:
@@ -189,7 +211,7 @@ def hn_codimension(q: Quiver, t: HNType) -> int:
     total, before = 0, parts[0] if parts else ()
     for part in parts[1:]:
         total -= _euler(q, before, part)
-        before = tuple(a + b for a, b in zip(before, part))
+        before = tuple(map(add, before, part))
     return total
 
 

@@ -1,7 +1,8 @@
 """Slow reference code for HN-type enumeration, kept only as a test oracle.
 
 `hn_types` is the product walk that `stability.hn_types` used before it walked
-`_slope_splits`: at every level it visits the whole box below the remaining
+`_slope_splits` and built each (remaining, slope, parts left) state's tails
+once: at every level it visits the whole box below the remaining
 vector and compares `Fraction` slopes, so its cost grows with the box size
 raised to the number of parts. Tests compare the fast enumeration against it,
 order included, on small inputs.

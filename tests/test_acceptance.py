@@ -12,6 +12,7 @@ import time
 from fractions import Fraction
 
 import sympy
+from models_oracle import fit_conic_through_semiinvariants
 
 from quivermod.clifford import (
     QuadraticFormB,
@@ -38,7 +39,6 @@ from quivermod.kronecker import (
 from quivermod.models import (
     ConicFiber,
     burnside_dimension,
-    fit_conic_through_semiinvariants,
     k3_conic,
     k3_destabilizer,
     k3_invariants,

@@ -18,6 +18,7 @@ from quivermod.kronecker import (
     normalize_kronecker,
 )
 from quivermod.quiver import euler_form, kronecker_quiver, slope
+from quivermod.stability import check_ample_stability_criterion
 
 
 def euler_self(m, d):
@@ -130,6 +131,20 @@ class TestNormalization:
     @settings(max_examples=500)
     def test_agrees_with_the_visited_state_oracle(self, m, d1, d2):
         assert normalize_kronecker(m, (d1, d2)) == normalize_kronecker_with_seen(m, (d1, d2))
+
+    def test_criterion_verdict_is_constant_on_each_orbit(self):
+        # the scans run the criterion only on the normalized vector of a cell
+        checked = 0
+        for m in range(3, 9):
+            q = kronecker_quiver(m)
+            for d in grid_box(24, 24):
+                rep = normalize_kronecker(m, d).normalized
+                if rep is None:
+                    continue
+                checked += 1
+                assert (check_ample_stability_criterion(q, (1, 0), d).verdict
+                        == check_ample_stability_criterion(q, (1, 0), rep).verdict), (m, d, rep)
+        assert checked == 2810
 
     def test_empty_moduli_normalize_to_degenerate(self):
         # the scan has no emptiness skip: a cell whose coprime part (p, q) has

@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 from field_oracle import common_root_by_euclid
 from hypothesis import assume, given, settings, strategies as st
+from models_oracle import fit_conic, fit_conic_through_semiinvariants
 
 from quivermod.models import (
     ConicFiber,
     burnside_dimension,
     binary_forms_common_root,
-    fit_conic,
-    fit_conic_through_semiinvariants,
     k3_conic,
     k3_destabilizer,
     k3_invariants,

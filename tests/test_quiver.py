@@ -133,6 +133,18 @@ class TestEulerForm:
         with pytest.raises(ValueError):
             euler_form(kronecker_quiver(3), (1, -1), (1, 1))
 
+    @pytest.mark.parametrize("d, e, message", [
+        ((1,), (1, 1), "d has 1 entries, quiver has 2 vertices"),
+        ((1, 1), (1, 1, 0), "e has 3 entries, quiver has 2 vertices"),
+        ((1, -1), (1, 1), "d entries must be nonnegative"),
+        ((1, 1), (-2, 0), "e entries must be nonnegative"),
+        (("1", "x"), (1, 1), "invalid literal for int() with base 10: 'x'"),
+    ])
+    def test_dimension_errors_name_the_vector(self, d, e, message):
+        with pytest.raises(ValueError) as err:
+            euler_form(kronecker_quiver(3), d, e)
+        assert str(err.value) == message
+
     @given(st.data())
     def test_bilinearity(self, data):
         q = data.draw(small_quivers())

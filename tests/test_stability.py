@@ -189,6 +189,29 @@ class TestHNTypes:
         got = hn_types(q, theta, d, max_parts, sst_filter)
         assert got == reference_hn_types(q, theta, d, max_parts, sst_filter)
 
+    @given(quiver_inputs(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_pure_filter_matches_reference_at_every_max_parts(self, inp, data):
+        q, theta, d = inp
+        max_parts = data.draw(st.integers(1, sum(d)))
+
+        def even_total_or_simple(e):
+            # a pure filter: every call on e gives the same answer
+            return sum(e) % 2 == 0 or sum(e) == 1
+
+        got = hn_types(q, theta, d, max_parts, even_total_or_simple)
+        assert got == reference_hn_types(q, theta, d, max_parts, even_total_or_simple)
+
+    @pytest.mark.parametrize("q, theta, d", [
+        (K3, (1, 0), (5, 5)),
+        (Quiver.from_matrix([[0, 1, 0], [0, 0, 1], [0, 0, 0]]), (-2, -1, 1), (2, 2, 3)),
+    ])
+    def test_states_reached_after_different_numbers_of_parts(self, q, theta, d):
+        # one (remaining, slope) state is reached after prefixes of different lengths,
+        # so a memo keyed without the parts left goes wrong
+        for max_parts in (3, 4, 5):
+            assert hn_types(q, theta, d, max_parts) == reference_hn_types(q, theta, d, max_parts)
+
 
 class TestWall:
     def test_frozen(self):
