@@ -3,10 +3,11 @@
 
 The loop scan covers every loop quiver with m loops and dimension d in the
 requested ranges; the Kronecker scan normalizes each grid cell into the
-reflection window before testing. Both print their exceptions, the cell count,
-and wall-clock time. The audit section prints the inequality trace for every
-admissible decomposition of the one dimension vector that fails the criterion,
-showing exactly where the margin degenerates to an Euler pairing of -1.
+reflection window before testing. Both print their exceptions and cell count
+on stdout, which is the same on every run; their wall-clock times go to stderr
+once the run has finished. The audit section prints the inequality trace for
+every admissible decomposition of the one dimension vector that fails the
+criterion, showing where the margin degenerates to an Euler pairing of -1.
 """
 import argparse
 import contextlib
@@ -60,19 +61,22 @@ def main(argv=None) -> int:
     out = io.StringIO()  # held back, as in quivermod.cli, so an error leaves stdout empty
     try:
         with contextlib.redirect_stdout(out):
-            code = _run(args)
+            code, scans = _run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(out.getvalue())
+    for name, scan in scans:
+        print(f"{name} scan: {scan.elapsed:.3f}s", file=sys.stderr)
     return code
 
 
-def _run(args) -> int:
+def _run(args):
+    """Both scans and the audit, printing to stdout: (exit code, [(name, scan)])."""
     loop = loop_criterion_exceptions(
         range(2, args.loop_m_max + 1), range(2, args.loop_d_max + 1)
     )
-    print(f"loop scan: {loop.scanned} cells in {loop.elapsed:.3f}s")
+    print(f"loop scan: {loop.scanned} cells")
     for m, d in loop.exceptions:
         print(f"  exception: m = {m}, d = {d}")
 
@@ -80,18 +84,19 @@ def _run(args) -> int:
         range(3, args.kronecker_m_max + 1),
         grid_box(args.kronecker_d_max, args.kronecker_d_max),
     )
-    print(f"kronecker scan: {kron.scanned} cells in {kron.elapsed:.3f}s")
+    print(f"kronecker scan: {kron.scanned} cells")
     for m, d in kron.exceptions:
         print(f"  exception: m = {m}, d = ({d[0]}, {d[1]})")
 
     expected = (expected_loop_exceptions(args.loop_m_max, args.loop_d_max),
                 expected_kronecker_exceptions(args.kronecker_m_max, args.kronecker_d_max))
+    scans = [("loop", loop), ("kronecker", kron)]
     if (loop.exceptions, kron.exceptions) != expected:
         print("UNEXPECTED exception set", file=sys.stderr)
-        return 1
+        return 1, scans
 
     audit_exceptional_cell()
-    return 0
+    return 0, scans
 
 
 if __name__ == "__main__":

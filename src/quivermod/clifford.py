@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import _diagonalize_ints, _echelon_mod_p, clear_denominators, is_prime, rank
+from .linalg import (_diagonalize_form, _diagonalize_ints, _echelon_mod_p, clear_denominators,
+                     is_prime, rank)
 from .models import ConicFiber
 
 # Prime characteristics must lie below this bound: the modular Azumaya test
@@ -114,24 +115,20 @@ class QuadraticFormB:
     def diagonalize(self) -> tuple[list, list[list]]:
         """Exact congruence diagonalization, characteristic != 2 only.
 
-        Returns (coeffs, P) with Q(P w) = sum coeffs_i w_i^2. The Gram matrix
-        (times the lcm L of its denominators over Q) is diagonalised on
-        integers by _diagonalize_ints, which gives the pivoting; field elements
-        are formed at the end: P = V / s and coeffs = pivots / (2 L s^2).
+        Returns (coeffs, P) with Q(P w) = sum coeffs_i w_i^2 and P = V / s, from
+        the integer diagonalisation (V, s) of the Gram matrix: _diagonalize_form
+        over Q, which the conic solver shares, and _diagonalize_ints over GF(p).
         """
-        if self.char == 2:
+        p = self.char
+        if p == 2:
             raise ValueError("diagonalization needs characteristic != 2")
-        p, g = self.char, self.gram()
         if p:
-            pivots, vs, s = _diagonalize_ints(g, p)
+            pivots, vs, s = _diagonalize_ints(self.gram(), p)
             inv, half = [pow(x, -1, p) for x in s], pow(2, -1, p)
             return ([h * x * x * half % p for h, x in zip(pivots, inv)],
                     [[v * x % p for v, x in zip(row, inv)] for row in vs])
-        lcm = math.lcm(*(x.denominator for row in g for x in row))
-        pivots, vs, s = _diagonalize_ints([[x.numerator * (lcm // x.denominator) for x in row]
-                                           for row in g])
-        return ([Fraction(h, 2 * lcm * x * x) for h, x in zip(pivots, s)],
-                [[Fraction(v, x) for v, x in zip(row, s)] for row in vs])
+        coeffs, vs, s, _ = _diagonalize_form(self.b)
+        return coeffs, [[Fraction(v, x) for v, x in zip(row, s)] for row in vs]
 
 
 def standard_form(n: int, char: int = 0) -> QuadraticFormB:
@@ -218,12 +215,8 @@ class CliffordAlgebra:
             if phi != 0:
                 acc[rest] = phi
             for m2, c2 in self._mul_mask_gen(rest, i):
-                for m3, c3 in self._mul_mask_gen(m2, j):
-                    coeff = acc.get(m3, 0) - c2 * c3
-                    if coeff == 0:
-                        acc.pop(m3, None)
-                    else:
-                        acc[m3] = coeff
+                if c2:  # e_j lies above every generator of e_m2, so e_m2 e_j = e_(m2 | j)
+                    acc[m2 | 1 << j] = -c2
             out = tuple(acc.items())
         self._gen_products[(mask, i)] = out
         return out

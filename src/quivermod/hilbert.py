@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .clifford import QuaternionAlgebra, form_from_conic
-from .linalg import _diagonalize_ints, factor, mat_vec, primitive_int_vector
+from .linalg import _diagonalize_form, factor, mat_vec, primitive_int_vector
 from .models import ConicFiber, K3Point, L2Point, k3_conic, l2_conic
 
 REAL_PLACE = "real"
@@ -40,10 +40,9 @@ class HilbertSymbolEvaluation:
 
 def _square_class_int(u: Rational) -> int:
     """Integer in the same rational square class (numerator times denominator)."""
-    f = Fraction(u)
-    if f == 0:
+    if u == 0:
         raise ValueError("hilbert symbol arguments must be nonzero")
-    return f.numerator * f.denominator
+    return u.numerator * u.denominator
 
 
 def _varying_exponents(*xs: Rational) -> dict[int, list[int]]:
@@ -51,7 +50,7 @@ def _varying_exponents(*xs: Rational) -> dict[int, list[int]]:
     nonzero xs = n/d}, for each prime p they differ at. Only a coprime base of
     the n and d (split by gcds) is factored, and only its parts whose power varies."""
     squares = [abs(_square_class_int(x)) for x in xs]
-    base = {abs(y) for x in map(Fraction, xs) for y in (x.numerator, x.denominator)} - {1}
+    base = {abs(y) for x in xs for y in (x.numerator, x.denominator)} - {1}
     while pair := next(((x, y) for x in base for y in base if x < y and math.gcd(x, y) > 1), None):
         (x, y), h = pair, math.gcd(*pair)
         base = base - {x, y} | {h, x // h, y // h} - {1}
@@ -80,7 +79,7 @@ def hilbert_symbol(u: Rational, v: Rational, place: Place) -> int:
         not isinstance(place, int) or place < 2 or factor(place) != {place: 1}
     ):
         raise ValueError(f"place must be a prime or {REAL_PLACE!r}, got {place!r}")
-    return _local_symbol(_square_class_int(u), _square_class_int(v), place)
+    return _local_symbol(_square_class_int(Fraction(u)), _square_class_int(Fraction(v)), place)
 
 
 def _local_symbol(a: int, b: int, place: Place) -> int:
@@ -112,11 +111,13 @@ def relevant_places(u: Rational, v: Rational) -> tuple[Place, ...]:
 
     The symbol is +1 at every other place.
     """
-    primes = _varying_exponents(u, v, 1).keys()  # 1 has no prime: every one varies
+    # 1 has no prime, so every prime of u or v varies
+    primes = _varying_exponents(Fraction(u), Fraction(v), 1).keys()
     return (REAL_PLACE, 2, *sorted(primes - {2}))
 
 
 def symbol_profile(u: Rational, v: Rational) -> tuple[HilbertSymbolEvaluation, ...]:
+    u, v = Fraction(u), Fraction(v)
     a, b = _square_class_int(u), _square_class_int(v)
     return tuple(
         HilbertSymbolEvaluation(place, _local_symbol(a, b, place))
@@ -355,24 +356,20 @@ def conic_has_rational_point(conic: ConicFiber) -> ConicPointResult:
     """Decide solvability of the plane conic and produce a primitive witness.
 
     The decision is local: diagonalise the Gram matrix on integers
-    (_diagonalize_ints; a 0 pivot is a degenerate conic) and decide the
-    rational diagonal by _locally_isotropic. When solvable, the witness comes
-    from the same reduced form by lattice reduction (Cremona and Rusin, Math.
-    Comp. 72, 2003; D. Simon, Math. Comp. 74, 2005): the lattice where the
-    form vanishes mod abc is LLL-reduced, and a zero is read off a basis
-    vector or found in a search bounded by Cassels' small-zero bound. It is
-    mapped back and verified exactly on integers; a failure anywhere on this
-    path raises RuntimeError or AssertionError, since it would contradict the
-    local decision.
+    (_diagonalize_form, shared with QuadraticFormB.diagonalize; a 0 on the
+    diagonal is a degenerate conic) and decide that diagonal by
+    _locally_isotropic. When solvable, the witness comes from the same reduced
+    form by lattice reduction (Cremona and Rusin, Math. Comp. 72, 2003; D.
+    Simon, Math. Comp. 74, 2005): the lattice where the form vanishes mod abc
+    is LLL-reduced, and a zero is read off a basis vector or found in a search
+    bounded by Cassels' small-zero bound. It is mapped back and verified
+    exactly on integers; a failure anywhere on this path raises RuntimeError
+    or AssertionError, since it would contradict the local decision.
     """
-    coeffs = [Fraction(x) for x in conic.coefficients()]
-    lcm = math.lcm(*(x.denominator for x in coeffs))
-    xx, yy, zz, xy, xz, yz = [x.numerator * (lcm // x.denominator) for x in coeffs]
-    gram = [[2 * xx, xy, xz], [xy, 2 * yy, yz], [xz, yz, 2 * zz]]
-    pivots, vs, s = _diagonalize_ints(gram)
-    if 0 in pivots:  # the Gram matrix is congruent to diag(pivots / s^2)
+    xx, yy, zz, xy, xz, yz = map(Fraction, conic.coefficients())
+    diagonal, vs, s, gram = _diagonalize_form([[xx, xy, xz], [xy, yy, yz], [xz, yz, zz]])
+    if 0 in diagonal:
         raise ValueError("conic is degenerate")
-    diagonal = [Fraction(h, 2 * lcm * x * x) for h, x in zip(pivots, s)]
     solvable, (a, b, c, m, primes) = _locally_isotropic(*diagonal)
     if not solvable:
         return ConicPointResult(False, None)

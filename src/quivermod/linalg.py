@@ -6,12 +6,14 @@ denominators and eliminate fraction-free (Bareiss, Math. Comp. 22, 1968).
 Over GF(p), _echelon_mod_p eliminates int64 residues with numpy. The
 congruence diagonalisation of quadratic forms, _diagonalize_ints, runs on an
 integer Gram matrix over Q or on residues over GF(p), scaling columns instead
-of dividing by pivots, so that QuadraticFormB.diagonalize and the conic solver
-form field elements only for their answers. No floating point anywhere.
+of dividing by pivots. Its one rational entry is _diagonalize_form, which
+QuadraticFormB.diagonalize (over Q) and the conic solver share, so that both
+form Fractions only for their answers. No floating point anywhere.
 """
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional, Sequence
 
 
@@ -158,6 +160,19 @@ def _diagonalize_ints(g: Sequence[Sequence[int]], p: int = 0):
             if h[k][i]:
                 col_op(i, k, h[k][k], -h[k][i])
     return [h[k][k] for k in range(size)], vs, s
+
+
+def _diagonalize_form(b: Sequence[Sequence]):
+    """Congruence diagonalisation over Q of sum_{i<=j} b_ij x_i x_j (b symmetric,
+    ints and Fractions): (coeffs, V, s, G) with G the integral Gram matrix of the
+    form times the lcm L of b's denominators, (pivots, V, s) = _diagonalize_ints(G)
+    and coeffs = pivots / (2 L s^2), so the form at V diag(1/s) w is sum coeffs w^2."""
+    lcm = math.lcm(*[x.denominator for row in b for x in row])
+    g = [[x.numerator * (lcm // x.denominator) for x in row] for row in b]
+    for i, row in enumerate(g):
+        row[i] *= 2
+    pivots, vs, s = _diagonalize_ints(g)
+    return [Fraction(h, 2 * lcm * x * x) for h, x in zip(pivots, s)], vs, s, g
 
 
 def clear_denominators(vec: Sequence) -> list[int]:

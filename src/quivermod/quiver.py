@@ -158,29 +158,16 @@ def gcd_of(d: Sequence[int]) -> int:
 def _bezout_min(g: int, di: int) -> tuple[int, int, int]:
     """Solve x*g + y*di = gcd(g, di) with |y| minimal, positive y on ties.
 
-    Returns (g2, x, y). Assumes g, di >= 0, not both zero.
+    Returns (g2, x, y). Assumes g, di >= 0, not both zero. For g > 0, y is the
+    inverse r of di/g2 modulo g/g2 or r - g/g2, the smaller in absolute value.
     """
     g2 = math.gcd(g, di)
     if g == 0:
         return g2, 0, 1 if di else 0
-    if di == 0:
-        return g2, 1, 0
-    old_r, r = g, di
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    x, y = old_s, old_t
     step = g // g2
-    if step:
-        k = y // step
-        best = min((y - kk * step for kk in (k - 1, k, k + 1)), key=lambda w: (abs(w), w <= 0))
-        x = (g2 - best * di) // g
-        y = best
-    return g2, x, y
+    r = pow(di // g2, -1, step)
+    y = r if 2 * r <= step else r - step
+    return g2, (g2 - y * di) // g, y
 
 
 def linearization_weights(d: Sequence[int]) -> tuple[int, ...]:
@@ -209,7 +196,7 @@ def moduli_dimension(q: Quiver, d: Sequence[int]) -> int:
     d = _check_dim(q, d)
     if all(x == 0 for x in d):
         raise ValueError("dimension vector must be nonzero")
-    return 1 - euler_form(q, d, d)
+    return 1 - _euler(q, d, d)
 
 
 def framed_bundle_relative_dimension(d: Sequence[int], n: Sequence[int]) -> int:

@@ -668,6 +668,18 @@ class TestAzumaya:
         q = QuadraticFormB(b, char=char)
         assert is_azumaya_over_field(build_clifford(q).even_part()) == is_smooth_quadric(q)
 
+    @given(azumaya_inputs(sizes=[2, 4], chars=(0, 0, 2, 3, 5, 65537, 2 ** 31 - 1)))
+    @settings(max_examples=60, deadline=None)
+    def test_even_sizes_are_never_azumaya(self, inp):
+        # the even Clifford algebra of an even-size form has a centre of dimension
+        # at least 2: the discriminant algebra when the quadric is smooth
+        b, char = inp
+        q = QuadraticFormB(b, char=char)
+        verdict, name = azumaya_certificate(build_clifford(q).even_part())
+        assert not verdict
+        if is_smooth_quadric(q):
+            assert name == "centre"
+
     @pytest.mark.parametrize("char", [0, 5])
     def test_zero_dimensional_algebra(self, char):
         assert azumaya_certificate(StructureConstantAlgebra(dim=0, table=(), char=char)) == (

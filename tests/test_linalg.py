@@ -108,6 +108,20 @@ class TestDiagonalizeInts:
         assert all(red(x) for x in s)
         assert rank([[red(x) for x in row] for row in vs]) == size
 
+    @given(st.integers(1, 5), st.integers(1, 10 ** 6), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_scaling_scales_only_the_pivots(self, size, k, data):
+        # _diagonalize_ints(k G) = (k pivots, V, s): so V, s and pivots / (2 L s^2)
+        # do not depend on which common multiple L clears a rational form
+        entry = st.sampled_from([0, 0, 1, -1, 2, -3, 10, 97])
+        upper = data.draw(st.lists(entry, min_size=size * size, max_size=size * size))
+        zero_diagonal = data.draw(st.sets(st.integers(0, size - 1)))  # forces the merge step
+        g = [[0 if i == j and i in zero_diagonal else upper[min(i, j) * size + max(i, j)]
+              for j in range(size)] for i in range(size)]
+        pivots, vs, s = _diagonalize_ints(g)
+        assert _diagonalize_ints([[k * x for x in row] for row in g]) == (
+            [k * h for h in pivots], vs, s)
+
 
 class TestFactor:
     @given(st.integers(1, 10**12), st.sampled_from((1, -1)))

@@ -223,6 +223,12 @@ class TestLinearizationWeights:
         best = min(candidates, key=lambda y: (abs(y), y <= 0))
         assert _bezout_min(g, di) == (g2, (g2 - best * di) // g, best)
 
+    def test_bezout_min_ties_take_positive_y(self):
+        # y = 1 and y = -1 both solve these: g / gcd(g, di) = 2
+        assert _bezout_min(2, 1) == (1, 0, 1)
+        assert _bezout_min(6, 3) == (3, 0, 1)
+        assert _bezout_min(10, 15) == (5, -1, 1)
+
 
 class TestDimensions:
     def test_moduli_dimension_frozen(self):
