@@ -37,7 +37,7 @@ CHAR_BOUND = 2 ** 31
 DIM_BOUND = 64
 
 
-def _check_dim(d: int) -> None:
+def _check_capacity(d: int) -> None:
     if d > DIM_BOUND:
         raise ValueError(f"capacity: algebra dimension {d} exceeds {DIM_BOUND}")
 
@@ -254,7 +254,7 @@ class CliffordAlgebra:
 
     def even_part(self) -> "StructureConstantAlgebra":
         """The even subalgebra, its table in the format of StructureConstantAlgebra."""
-        _check_dim((self.dim + 1) // 2)  # 2^(n-1) even subsets of n >= 1 generators
+        _check_capacity((self.dim + 1) // 2)  # 2^(n-1) even subsets of n >= 1 generators
         masks = self.even_masks()
         index = {m: i for i, m in enumerate(masks)}
         d = len(masks)
@@ -383,7 +383,7 @@ def azumaya_certificate(alg: StructureConstantAlgebra) -> tuple[bool, str]:
     characteristic 2 the elimination decides.
     """
     d, char = alg.dim, alg.char
-    _check_dim(d)
+    _check_capacity(d)
     if char >= CHAR_BOUND:
         raise ValueError(f"characteristic {char} is not below 2^31")
     if d == 0:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .quiver import kronecker_quiver, loop_quiver
+from .quiver import _integers, kronecker_quiver, loop_quiver
 from .stability import check_ample_stability_criterion
 
 Pair = tuple[int, int]
@@ -28,22 +28,22 @@ Pair = tuple[int, int]
 
 def kronecker_reflect_source(m: int, d: Sequence[int]) -> Pair:
     """(d1, d2) -> (m d2 - d1, d2). Errors if the image leaves the nonnegative cone."""
-    d1, d2 = (int(x) for x in d)
+    (m,), (d1, d2) = _integers((m,), "m"), _integers(d, "d", 2)
     if m * d2 - d1 < 0:
-        raise ValueError(f"source reflection of {tuple(d)} has a negative entry")
+        raise ValueError(f"source reflection of {(d1, d2)} has a negative entry")
     return (m * d2 - d1, d2)
 
 
 def kronecker_reflect_sink(m: int, d: Sequence[int]) -> Pair:
     """(d1, d2) -> (d1, m d1 - d2). Errors if the image leaves the nonnegative cone."""
-    d1, d2 = (int(x) for x in d)
+    (m,), (d1, d2) = _integers((m,), "m"), _integers(d, "d", 2)
     if m * d1 - d2 < 0:
-        raise ValueError(f"sink reflection of {tuple(d)} has a negative entry")
+        raise ValueError(f"sink reflection of {(d1, d2)} has a negative entry")
     return (d1, m * d1 - d2)
 
 
 def kronecker_dualize(d: Sequence[int]) -> Pair:
-    d1, d2 = (int(x) for x in d)
+    d1, d2 = _integers(d, "d", 2)
     return (d2, d1)
 
 
@@ -65,15 +65,16 @@ def normalize_kronecker(m: int, d: Sequence[int]) -> NormalizationResult:
     each sink move lowers d1 + d2, since 2 d2 > m d1 gives m d1 - d2 < d2, and
     after a dualize d1 < d2, so two dualizes never come in a row.
     """
+    (m,) = _integers((m,), "m")
     if m < 3:
         raise ValueError("normalization window needs m >= 3")
-    cur: Pair = (int(d[0]), int(d[1]))
-    if any(x < 0 for x in cur):
+    cur: Pair = _integers(d, "d", 2)
+    if min(cur) < 0:
         raise ValueError("d must be nonnegative")
     moves: list[str] = []
     while 0 not in cur:
         if cur[0] > cur[1]:
-            cur = kronecker_dualize(cur)
+            cur = (cur[1], cur[0])
             moves.append("dualize")
             continue
         if 2 * cur[1] <= m * cur[0]:
@@ -101,8 +102,8 @@ def loop_criterion_exceptions(
 
     The scan runs in one process and ignores `workers`; the keyword stays
     because the benchmark harness (`perfbench/worker.py`) passes it."""
-    ms = sorted(set(int(m) for m in m_range))
-    ds = sorted(set(int(d) for d in d_range))
+    ms = sorted(set(_integers(m_range, "m_range")))
+    ds = sorted(set(_integers(d_range, "d_range")))
     if not ms or not ds:
         raise ValueError("loop scan needs a nonempty m-range and d-range")
     if ms[0] < 2:
@@ -132,8 +133,8 @@ def kronecker_criterion_exceptions(
     the box. The scan runs in one process and ignores `workers`; the keyword
     stays because the benchmark harness (`perfbench/worker.py`) passes it.
     """
-    ms = sorted(set(int(m) for m in m_range))
-    cells = sorted(set((int(a), int(b)) for a, b in box))
+    ms = sorted(set(_integers(m_range, "m_range")))
+    cells = sorted(set(_integers(cell, "box cell", 2) for cell in box))
     if not ms or not cells:
         raise ValueError("kronecker scan needs a nonempty m-range and box")
     if ms[0] < 3:
@@ -200,11 +201,10 @@ class KroneckerTrace:
 
 
 def kronecker_inequality_trace(m: int, d: Sequence[int], e: Sequence[int]) -> KroneckerTrace:
-    d = (int(d[0]), int(d[1]))
+    (m,), d, (a, b) = _integers((m,), "m"), _integers(d, "d", 2), _integers(e, "e", 2)
     # the window also rules out m <= 1, zero vectors and negative entries
     if not (0 < d[0] <= d[1] and 2 * d[1] <= m * d[0]):
         raise ValueError(f"{d} is not normalized for m = {m}")
-    a, b = (int(x) for x in e)
     c, dd = d[0] - a, d[1] - b
     if min(a, b, c, dd) < 0 or (a, b) == (0, 0) or (c, dd) == (0, 0):
         raise ValueError("e must give a proper decomposition of d")

@@ -3,14 +3,31 @@
 All arithmetic is exact: integers and fractions.Fraction only, never floats.
 Dimension vectors and stability vectors are plain tuples of ints, indexed by
 vertex. Multiplicities arrows[i][j] count arrows from vertex i to vertex j.
+
+Integer inputs of this module, `stability` and `kronecker` pass one gate, `_integers`
+(operator.index): ints, bools, numpy integers; 2.0, Fraction(2), "2" raise ValueError.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
-from typing import Sequence
+from operator import index, mul
+from typing import Iterable, Optional, Sequence
+
+
+def _integers(values: Iterable, name: str, size: Optional[int] = None, nonneg=False) -> tuple:
+    """values as a tuple of ints: size of them if size is given, none negative if nonneg."""
+    try:
+        out = tuple(map(index, values))
+    except TypeError:
+        bad = next((x for x in values if not hasattr(type(x), "__index__")), values)
+        raise ValueError(f"{name}: expected an integer, got {bad!r}") from None
+    if size is not None and len(out) != size:
+        raise ValueError(f"{name} has {len(out)} entries, quiver has {size} vertices")
+    if nonneg and out and min(out) < 0:
+        raise ValueError(f"{name} entries must be nonnegative")
+    return out
 
 
 @dataclass(frozen=True)
@@ -21,22 +38,25 @@ class Quiver:
     arrows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        k = self.vertex_count
+        (k,) = _integers((self.vertex_count,), "vertex_count")
+        arrows = tuple(_integers(row, "arrows") for row in self.arrows)
         if k < 1:
             raise ValueError("quiver needs at least one vertex")
-        if len(self.arrows) != k or any(len(row) != k for row in self.arrows):
+        if len(arrows) != k or any(len(row) != k for row in arrows):
             raise ValueError(f"arrow matrix must be {k}x{k}")
-        if any(m < 0 for row in self.arrows for m in row):
+        if any(m < 0 for row in arrows for m in row):
             raise ValueError("arrow multiplicities must be nonnegative")
+        object.__setattr__(self, "vertex_count", k)
+        object.__setattr__(self, "arrows", arrows)
         # the nonzero arrows as (i, j, mult), listed once for _euler and to_text; not a
         # field, so equality, hashing and repr see only the matrix
         object.__setattr__(self, "_arrow_list", tuple(
-            (i, j, m) for i, row in enumerate(self.arrows) for j, m in enumerate(row) if m
+            (i, j, m) for i, row in enumerate(arrows) for j, m in enumerate(row) if m
         ))
 
     @staticmethod
     def from_matrix(rows: Sequence[Sequence[int]]) -> "Quiver":
-        return Quiver(len(rows), tuple(tuple(int(m) for m in row) for row in rows))
+        return Quiver(len(rows), rows)
 
     def to_text(self) -> str:
         lines = [f"vertices {self.vertex_count}"]
@@ -46,14 +66,14 @@ class Quiver:
 
 def loop_quiver(m: int) -> Quiver:
     """One vertex, m loops."""
-    if m < 0:
+    if _integers((m,), "m")[0] < 0:
         raise ValueError("loop count must be nonnegative")
     return Quiver(1, ((m,),))
 
 
 def kronecker_quiver(m: int) -> Quiver:
     """Two vertices, m arrows from vertex 0 to vertex 1."""
-    if m < 0:
+    if _integers((m,), "m")[0] < 0:
         raise ValueError("arrow count must be nonnegative")
     return Quiver(2, ((0, m), (0, 0)))
 
@@ -113,18 +133,10 @@ def load_quiver(spec: str) -> Quiver:
         return parse_quiver(fh.read())
 
 
-def _check_dim(q: Quiver, d: Sequence[int], name: str = "d") -> tuple[int, ...]:
-    d = tuple(map(int, d))
-    if len(d) != q.vertex_count:
-        raise ValueError(f"{name} has {len(d)} entries, quiver has {q.vertex_count} vertices")
-    if min(d) < 0:
-        raise ValueError(f"{name} entries must be nonnegative")
-    return d
-
-
 def euler_form(q: Quiver, d: Sequence[int], e: Sequence[int]) -> int:
     """<d,e> = sum_i d_i e_i - sum_{arrows i->j} d_i e_j. Bilinear, generally asymmetric."""
-    return _euler(q, _check_dim(q, d, "d"), _check_dim(q, e, "e"))
+    k = q.vertex_count
+    return _euler(q, _integers(d, "d", k, nonneg=True), _integers(e, "e", k, nonneg=True))
 
 
 def _euler(q: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:
@@ -137,8 +149,7 @@ def _euler(q: Quiver, d: tuple[int, ...], e: tuple[int, ...]) -> int:
 
 def slope(theta: Sequence[int], d: Sequence[int]) -> Fraction:
     """theta(d) / (sum of entries of d), exact and in lowest terms. d must be nonzero."""
-    theta = tuple(int(x) for x in theta)
-    d = tuple(int(x) for x in d)
+    theta, d = _integers(theta, "theta"), _integers(d, "d")
     if len(theta) != len(d):
         raise ValueError("theta and d must have equal length")
     total = sum(d)
@@ -149,7 +160,7 @@ def slope(theta: Sequence[int], d: Sequence[int]) -> Fraction:
 
 def gcd_of(d: Sequence[int]) -> int:
     """gcd of the entries of a nonzero dimension vector."""
-    d = tuple(int(x) for x in d)
+    d = _integers(d, "d")
     if not d or all(x == 0 for x in d):
         raise ValueError("gcd undefined for the zero vector")
     return math.gcd(*d)
@@ -176,33 +187,31 @@ def linearization_weights(d: Sequence[int]) -> tuple[int, ...]:
     Each step keeps the newly introduced weight minimal in absolute value
     (positive on ties), so the result is deterministic. Requires gcd_of(d) == 1.
     """
-    d = tuple(int(x) for x in d)
-    if not d or any(x < 0 for x in d):
+    d = _integers(d, "d")
+    if not d or min(d) < 0:
         raise ValueError("dimension vector must be nonempty with nonnegative entries")
-    if gcd_of(d) != 1:
-        raise ValueError(f"no integral weights: gcd of {d} is {gcd_of(d)}, not 1")
+    if (g := gcd_of(d)) != 1:
+        raise ValueError(f"no integral weights: gcd of {d} is {g}, not 1")
     g = d[0]
     coeffs = [1]
     for di in d[1:]:
-        g2, x, y = _bezout_min(g, di)
+        g, x, y = _bezout_min(g, di)
         coeffs = [c * x for c in coeffs] + [y]
-        g = g2
     assert g == 1 and sum(c * x for c, x in zip(coeffs, d)) == 1
     return tuple(coeffs)
 
 
 def moduli_dimension(q: Quiver, d: Sequence[int]) -> int:
     """1 - <d,d>, the dimension of the stable moduli space when stables exist."""
-    d = _check_dim(q, d)
-    if all(x == 0 for x in d):
+    d = _integers(d, "d", q.vertex_count, nonneg=True)
+    if not any(d):
         raise ValueError("dimension vector must be nonzero")
     return 1 - _euler(q, d, d)
 
 
 def framed_bundle_relative_dimension(d: Sequence[int], n: Sequence[int]) -> int:
     """n.d - 1, the fiber dimension of the projectivized framed bundle P_n."""
-    d = tuple(int(x) for x in d)
-    n = tuple(int(x) for x in n)
+    d, n = _integers(d, "d"), _integers(n, "n")
     if len(d) != len(n):
         raise ValueError("d and n must have equal length")
     nd = sum(a * b for a, b in zip(n, d))

@@ -35,8 +35,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 from .quiver import (
     Quiver,
-    _check_dim,
     _euler,
+    _integers,
     gcd_of,
     kronecker_quiver,
     loop_quiver,
@@ -50,7 +50,7 @@ def enumerate_decompositions(d: Sequence[int]) -> Iterator[tuple[DimVec, DimVec]
 
     Count is prod(d_i + 1) - 2; componentwise 0 <= e <= d with e != 0 and e != d.
     """
-    d = tuple(int(x) for x in d)
+    d = _integers(d, "d")
     if any(x < 0 for x in d):
         raise ValueError("entries must be nonnegative")
     zero = tuple(0 for _ in d)
@@ -78,13 +78,10 @@ class AmpleStabilityReport:
 
 def _check_args(q: Quiver, theta: Sequence[int], d: Sequence[int]) -> tuple[DimVec, DimVec]:
     """theta and d as int tuples with one entry per vertex of q; d nonnegative, nonzero."""
-    d = _check_dim(q, d)
+    d = _integers(d, "d", q.vertex_count, nonneg=True)
     if not any(d):
         raise ValueError("dimension vector must be nonzero")
-    theta = tuple(map(int, theta))
-    if len(theta) != q.vertex_count:
-        raise ValueError(f"theta has {len(theta)} entries, quiver has {q.vertex_count} vertices")
-    return theta, d
+    return _integers(theta, "theta", q.vertex_count), d
 
 
 def _slope_splits(d: DimVec, rows: Sequence[tuple[DimVec, int]]) -> Iterator[tuple[DimVec, DimVec]]:
@@ -165,8 +162,7 @@ def hn_types(
     state and part.
     """
     theta, d = _check_args(q, theta, d)
-    if max_parts is None:
-        max_parts = sum(d)
+    (max_parts,) = _integers((sum(d) if max_parts is None else max_parts,), "max_parts")
     if max_parts < 1:
         raise ValueError("max_parts must be at least 1")
     memo: dict[tuple[DimVec, tuple[int, int], int], list[tuple[DimVec, ...]]] = {}
@@ -207,7 +203,7 @@ def hn_types(
 def hn_codimension(q: Quiver, t: HNType) -> int:
     """Codimension of the stratum with type t: -sum over ordered pairs k < l of <d^k, d^l>,
     summed as -sum over l of <d^1 + ... + d^(l-1), d^l>."""
-    parts = [_check_dim(q, part) for part in t.parts]
+    parts = [_integers(part, "d", q.vertex_count, nonneg=True) for part in t.parts]
     total, before = 0, parts[0] if parts else ()
     for part in parts[1:]:
         total -= _euler(q, before, part)
@@ -221,12 +217,8 @@ def strictly_semistable_wall_codim(
     """min of -<e,f> over proper decompositions with equal slopes, None if no such split."""
     theta, d = _check_args(q, theta, d)
     w = _slope_weights(theta, d)
-    best: Optional[int] = None
-    for e, f in _slope_splits(d, [(w, 0), (tuple(-x for x in w), 0)]):
-        codim = -_euler(q, e, f)
-        if best is None or codim < best:
-            best = codim
-    return best
+    splits = _slope_splits(d, [(w, 0), (tuple(-x for x in w), 0)])
+    return min((-_euler(q, e, f) for e, f in splits), default=None)
 
 
 @dataclass(frozen=True)
@@ -247,7 +239,7 @@ _SPECIAL_CASES = (
 def predict_brauer(q: Quiver, theta: Sequence[int], d: Sequence[int]) -> BrauerPrediction:
     """Cyclic of order gcd(d), generated by any framed-bundle class [P_n] with n.d
     coprime to gcd(d); status records how strongly the order is established."""
-    d = tuple(int(x) for x in d)
+    d = _integers(d, "d")  # compared below with the tuples of _SPECIAL_CASES
     g = gcd_of(d)
     report = check_ample_stability_criterion(q, theta, d)
     if report.verdict:

@@ -138,7 +138,7 @@ class TestEulerForm:
         ((1, 1), (1, 1, 0), "e has 3 entries, quiver has 2 vertices"),
         ((1, -1), (1, 1), "d entries must be nonnegative"),
         ((1, 1), (-2, 0), "e entries must be nonnegative"),
-        (("1", "x"), (1, 1), "invalid literal for int() with base 10: 'x'"),
+        (("1", "x"), (1, 1), "d: expected an integer, got '1'"),
     ])
     def test_dimension_errors_name_the_vector(self, d, e, message):
         with pytest.raises(ValueError) as err:
